@@ -2,33 +2,20 @@
 // built from: dense GEMM, the fused GAT attention kernel per backend, the
 // block-dispatch disciplines, and CSR construction. Complements the
 // table/figure binaries with statistically sound per-kernel numbers.
-//
-// --sweep-out=<path> additionally runs the tiled-vs-untiled aggregation
-// sweep (CopySum / MulSum × feature dims 16/64/256 × uniform / power-law
-// degree skew) and writes a BENCH_kernels.json report gated by
-// tools/bench_check.py. The sweep checks bitwise tiled/untiled parity on
-// every configuration, so the report doubles as a correctness probe.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "src/common/json.h"
 #include "src/common/metrics.h"
 #include "src/common/rng.h"
-#include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
 #include "src/exec/baseline_executor.h"
 #include "src/exec/seastar_executor.h"
-#include "src/exec/tiling.h"
 #include "src/gir/builder.h"
 #include "src/graph/generators.h"
 #include "src/parallel/simt.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/simd.h"
 
 namespace seastar {
 namespace {
@@ -141,136 +128,6 @@ void BM_CsrBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrBuild);
 
-// ---- Tiled-vs-untiled aggregation sweep ---------------------------------------------------------
-// One data point: the same fused aggregation executed with the cache-blocked
-// tiled edge loops and with the flat untiled ones, on the same graph and
-// features. Both paths share the runtime-dispatched SIMD row kernels
-// (src/tensor/simd.h), so the outputs must be bit-identical — the sweep
-// asserts that with a memcmp per configuration, making the perf report a
-// correctness probe too.
-struct SweepPoint {
-  std::string kernel;  // "copy_sum" | "mul_sum"
-  std::string skew;    // "uniform" | "zipf"
-  int64_t feat_dim = 0;
-  int64_t num_vertices = 0;
-  int64_t num_edges = 0;
-  double untiled_ms = 0.0;
-  double tiled_ms = 0.0;
-  bool bitwise_equal = false;
-  double max_abs_diff = 0.0;
-  int64_t tile_segments = 0;  // Segments one tiled run executed.
-};
-
-// Best-of-N wall time for one executor pass; the minimum is the standard
-// noise filter on a shared runner (every perturbation only adds time).
-template <typename Fn>
-double BestOfMs(int reps, const Fn& fn) {
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    Stopwatch watch;
-    fn();
-    best = std::min(best, watch.ElapsedMillis());
-  }
-  return best;
-}
-
-std::vector<SweepPoint> RunKernelSweep() {
-  const bool tiling_was_enabled = TilingEnabled();
-  metrics::Counter* segments_counter =
-      metrics::MetricsRegistry::Get().GetCounter("seastar_tiling_segments_total");
-  std::vector<SweepPoint> points;
-  constexpr int64_t kVertices = 20000;
-  constexpr int64_t kEdges = 200000;
-  constexpr int kReps = 3;
-  for (const char* skew : {"uniform", "zipf"}) {
-    Rng graph_rng(11);
-    CooEdges edges = std::string(skew) == "uniform" ? ErdosRenyi(kVertices, kEdges, graph_rng)
-                                                    : Rmat(kVertices, kEdges, graph_rng);
-    Graph graph = ToGraph(std::move(edges));
-    for (const char* kernel : {"copy_sum", "mul_sum"}) {
-      for (const int64_t d : {int64_t{16}, int64_t{64}, int64_t{256}}) {
-        GirBuilder b;
-        if (std::string(kernel) == "copy_sum") {
-          b.MarkOutput(AggSum(b.Src("h", static_cast<int32_t>(d))), "out");
-        } else {
-          b.MarkOutput(
-              AggSum(b.Src("h", static_cast<int32_t>(d)) * b.Dst("g", static_cast<int32_t>(d))),
-              "out");
-        }
-        GirGraph gir = b.TakeGraph();
-        Rng rng(29);
-        FeatureMap features;
-        features.vertex["h"] = ops::RandomNormal({graph.num_vertices(), d}, 0, 1, rng);
-        features.vertex["g"] = ops::RandomNormal({graph.num_vertices(), d}, 0, 1, rng);
-        SeastarExecutor executor;
-
-        SetTilingEnabled(false);
-        Tensor untiled = executor.Run(gir, graph, features).outputs.at("out");
-        const double untiled_ms = BestOfMs(
-            kReps, [&] { benchmark::DoNotOptimize(executor.Run(gir, graph, features).outputs); });
-
-        SetTilingEnabled(true);
-        const int64_t segments_before = segments_counter->value();
-        Tensor tiled = executor.Run(gir, graph, features).outputs.at("out");
-        const int64_t tile_segments = segments_counter->value() - segments_before;
-        const double tiled_ms = BestOfMs(
-            kReps, [&] { benchmark::DoNotOptimize(executor.Run(gir, graph, features).outputs); });
-
-        SweepPoint point;
-        point.kernel = kernel;
-        point.skew = skew;
-        point.feat_dim = d;
-        point.num_vertices = graph.num_vertices();
-        point.num_edges = graph.num_edges();
-        point.untiled_ms = untiled_ms;
-        point.tiled_ms = tiled_ms;
-        point.tile_segments = tile_segments;
-        point.bitwise_equal =
-            tiled.numel() == untiled.numel() &&
-            std::memcmp(tiled.data(), untiled.data(), sizeof(float) * tiled.numel()) == 0;
-        for (int64_t i = 0; i < tiled.numel(); ++i) {
-          point.max_abs_diff =
-              std::max(point.max_abs_diff, std::fabs(double(tiled.data()[i]) - untiled.data()[i]));
-        }
-        points.push_back(std::move(point));
-        std::printf("sweep %-8s %-7s d=%-3lld untiled %7.3f ms  tiled %7.3f ms  (%.2fx)  %s\n",
-                    kernel, skew, static_cast<long long>(d), untiled_ms, tiled_ms,
-                    untiled_ms / tiled_ms, points.back().bitwise_equal ? "bit-identical" : "DIFF");
-      }
-    }
-  }
-  SetTilingEnabled(tiling_was_enabled);
-  return points;
-}
-
-bool WriteSweepReport(const std::string& path, const std::vector<SweepPoint>& points) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Field("bench", "kernels");
-  json.Field("simd_isa", simd::SimdIsaName());
-  json.Field("simd_lanes", static_cast<int64_t>(simd::SimdLanes()));
-  json.Key("sweeps");
-  json.BeginArray();
-  for (const SweepPoint& point : points) {
-    json.BeginObject();
-    json.Field("kernel", point.kernel);
-    json.Field("skew", point.skew);
-    json.Field("feat_dim", point.feat_dim);
-    json.Field("num_vertices", point.num_vertices);
-    json.Field("num_edges", point.num_edges);
-    json.FieldDouble("untiled_ms", point.untiled_ms, 3);
-    json.FieldDouble("tiled_ms", point.tiled_ms, 3);
-    json.FieldDouble("speedup", point.untiled_ms / std::max(point.tiled_ms, 1e-9), 3);
-    json.Field("bitwise_equal", point.bitwise_equal);
-    json.FieldDouble("max_abs_diff", point.max_abs_diff, 9);
-    json.Field("tile_segments", point.tile_segments);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return json.WriteToFile(path);
-}
-
 }  // namespace
 }  // namespace seastar
 
@@ -280,12 +137,10 @@ bool WriteSweepReport(const std::string& path, const std::vector<SweepPoint>& po
 int main(int argc, char** argv) {
   const std::string metrics_out = seastar::FlagValue(argc, argv, "metrics-out", "");
   const std::string metrics_text = seastar::FlagValue(argc, argv, "metrics-text", "");
-  const std::string sweep_out = seastar::FlagValue(argc, argv, "sweep-out", "");
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--metrics-out=", 0) == 0 || arg.rfind("--metrics-text=", 0) == 0 ||
-        arg.rfind("--sweep-out=", 0) == 0) {
+    if (arg.rfind("--metrics-out=", 0) == 0 || arg.rfind("--metrics-text=", 0) == 0) {
       continue;
     }
     passthrough.push_back(argv[i]);
@@ -297,14 +152,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!sweep_out.empty()) {
-    const std::vector<seastar::SweepPoint> points = seastar::RunKernelSweep();
-    if (!seastar::WriteSweepReport(sweep_out, points)) {
-      std::fprintf(stderr, "cannot write %s\n", sweep_out.c_str());
-      return 1;
-    }
-    std::printf("sweep report: %s\n", sweep_out.c_str());
-  }
   seastar::metrics::MetricsRegistry& registry = seastar::metrics::MetricsRegistry::Get();
   if (!metrics_out.empty() && !registry.WriteJsonFile(metrics_out)) {
     return 1;

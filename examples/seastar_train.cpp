@@ -1,14 +1,14 @@
-// General-purpose training driver: any model × any dataset × any backend
+// General-purpose training driver: any model × any dataset × any executor
 // from the command line, with optional CSV output for scripting sweeps.
 //
-//   ./seastar_train --model=gcn --dataset=cora --backend=seastar
-//   ./seastar_train --model=gcn --dataset=cora --backend=sharded:4
-//   ./seastar_train --model=gat --dataset=amz_photo --backend=pyg --epochs=20
+//   ./seastar_train --model=gcn --dataset=cora --executor=seastar
+//   ./seastar_train --model=gcn --dataset=cora --executor=sharded:4
+//   ./seastar_train --model=gat --dataset=amz_photo --executor=pyg --epochs=20
 //   ./seastar_train --model=rgcn --dataset=aifb --rgcn-mode=dgl-bmm
 //   ./seastar_train --model=sage --dataset=pubmed --csv
 //
 // Flags: --model=gcn|gat|appnp|rgcn|sage|gin|sgc  --dataset=<table-2 name>
-//        --executor=seastar|seastar-nofuse|dgl|pyg|sharded[:N]  (alias: --backend=)
+//        --executor=seastar|seastar-nofuse|dgl|pyg|sharded[:N]
 //        --epochs --warmup --lr
 //        --scale --max-feat --hidden --budget-gb --csv
 //        --edges=<file.tsv|file.mtx>  (train on your own graph instead)
@@ -114,10 +114,7 @@ StatusOr<Dataset> DatasetFromEdgeFile(const std::string& path, int64_t feature_d
 int Run(int argc, char** argv) {
   const std::string model_name = FlagValue(argc, argv, "model", "gcn");
   const std::string dataset_name = FlagValue(argc, argv, "dataset", "cora");
-  // --executor= is the canonical spelling (it names an ExecutorFactory
-  // spec); --backend= remains as the historical alias.
-  const std::string backend_name =
-      FlagValue(argc, argv, "executor", FlagValue(argc, argv, "backend", "seastar"));
+  const std::string executor_spec = FlagValue(argc, argv, "executor", "seastar");
   const std::string edge_file = FlagValue(argc, argv, "edges", "");
   const int epochs = static_cast<int>(FlagInt(argc, argv, "epochs", 30));
   const int warmup = static_cast<int>(FlagInt(argc, argv, "warmup", 3));
@@ -186,7 +183,7 @@ int Run(int argc, char** argv) {
     data = *std::move(made);
   }
 
-  StatusOr<std::unique_ptr<Executor>> created = ExecutorFactory::Create(backend_name);
+  StatusOr<std::unique_ptr<Executor>> created = ExecutorFactory::Create(executor_spec);
   if (!created.has_value()) {
     std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
     return 1;
@@ -300,7 +297,7 @@ int Run(int argc, char** argv) {
   if (csv) {
     std::printf("model,dataset,backend,epochs,avg_epoch_ms,final_loss,train_acc,peak_mb,oom\n");
     std::printf("%s,%s,%s,%d,%.3f,%.5f,%.4f,%.2f,%d\n", model_name.c_str(),
-                data.spec.name.c_str(), backend_name.c_str(), result.epochs_run,
+                data.spec.name.c_str(), executor_spec.c_str(), result.epochs_run,
                 result.avg_epoch_ms, result.final_loss, result.train_accuracy,
                 static_cast<double>(result.peak_bytes) / (1024.0 * 1024.0),
                 result.oom ? 1 : 0);

@@ -118,9 +118,6 @@ std::string Profiler::ChromeTraceJson() const {
     arg("plan_cache_misses", event.plan_cache_misses);
     arg("pool_hits", event.pool_hits);
     arg("pool_misses", event.pool_misses);
-    arg("tile_segments", event.tile_segments);
-    arg("tile_passes", event.tile_passes);
-    arg("tile_width", event.tile_width);
     const auto str_arg = [&](const char* key, const std::string& value) {
       if (value.empty()) {
         return;
@@ -162,8 +159,6 @@ std::string Profiler::SummaryTable() const {
     int64_t plan_misses = 0;
     int64_t pool_hits = 0;
     int64_t pool_misses = 0;
-    int64_t tile_segments = 0;
-    int32_t tile_width = 0;
     std::string simd_isa;
   };
   // Keyed by (category, name); std::map gives a stable report order.
@@ -183,8 +178,6 @@ std::string Profiler::SummaryTable() const {
     row.plan_misses += event.plan_cache_misses;
     row.pool_hits += event.pool_hits;
     row.pool_misses += event.pool_misses;
-    row.tile_segments += event.tile_segments;
-    row.tile_width = std::max(row.tile_width, event.tile_width);
     if (row.simd_isa.empty()) {
       row.simd_isa = event.simd_isa;
     }
@@ -192,11 +185,11 @@ std::string Profiler::SummaryTable() const {
 
   std::ostringstream os;
   char line[360];
-  std::snprintf(line, sizeof(line), "%-8s %-36s %7s %12s %10s %14s %12s %10s %9s %9s %8s %6s\n",
+  std::snprintf(line, sizeof(line), "%-8s %-36s %7s %12s %10s %14s %12s %10s %9s %9s %6s\n",
                 "category", "name", "count", "total ms", "avg ms", "edges", "mat bytes",
-                "launches", "plan h/m", "pool hit%", "segs/tw", "isa");
+                "launches", "plan h/m", "pool hit%", "isa");
   os << line;
-  os << std::string(146, '-') << "\n";
+  os << std::string(137, '-') << "\n";
   for (const auto& [key, row] : rows) {
     // "plan h/m" and "pool hit%" only apply to spans that recorded the
     // caching counters (exec runs, epochs); blank elsewhere.
@@ -211,21 +204,14 @@ std::string Profiler::SummaryTable() const {
                     100.0 * static_cast<double>(row.pool_hits) /
                         static_cast<double>(row.pool_hits + row.pool_misses));
     }
-    // "segs/tw" summarizes the tiled partitioning (segments executed and the
-    // feature-tile width); blank for spans that ran untiled.
-    char tiling[32] = "";
-    if (row.tile_segments > 0) {
-      std::snprintf(tiling, sizeof(tiling), "%lld/%d", static_cast<long long>(row.tile_segments),
-                    row.tile_width);
-    }
     std::snprintf(line, sizeof(line),
-                  "%-8s %-36s %7lld %12.3f %10.4f %14lld %12s %10lld %9s %9s %8s %6s\n",
+                  "%-8s %-36s %7lld %12.3f %10.4f %14lld %12s %10lld %9s %9s %6s\n",
                   key.first.c_str(), key.second.substr(0, 36).c_str(),
                   static_cast<long long>(row.count), row.total_us / 1e3,
                   row.total_us / 1e3 / static_cast<double>(std::max<int64_t>(1, row.count)),
                   static_cast<long long>(row.edges),
                   HumanBytes(static_cast<uint64_t>(std::max<int64_t>(0, row.bytes))).c_str(),
-                  static_cast<long long>(row.launches), plan, pool, tiling,
+                  static_cast<long long>(row.launches), plan, pool,
                   row.simd_isa.c_str());
     os << line;
   }

@@ -59,11 +59,6 @@ struct ProfileEvent {
   int64_t plan_cache_misses = 0;
   int64_t pool_hits = 0;
   int64_t pool_misses = 0;
-  // Cache-blocked tiling counters (ISSUE 8): how the span's kernels were
-  // partitioned. Zero everywhere for spans that ran untiled.
-  int64_t tile_segments = 0;  // CSR segments executed.
-  int64_t tile_passes = 0;    // segment × feature-tile kernel passes.
-  int32_t tile_width = 0;     // Columns per feature tile.
   std::string schedule;            // Block-dispatch mode name; "" if n/a.
   std::string simd_isa;            // Dispatched row-kernel ISA; "" if n/a.
 };

@@ -9,7 +9,7 @@
 // assigned at admission, covering the whole lifecycle: admission/quota
 // decision, queue wait (with the tenant's stride-scheduler position), batch
 // formation (leader vs. follower), execution (per retry attempt, per shard
-// pass, per tiled-unit launch), degraded fallback, and fulfillment.
+// pass, per fused-unit launch), degraded fallback, and fulfillment.
 //
 // Propagation follows deadline.h's ambient pattern: the serving thread
 // installs the batch leader's trace in a thread-local (ScopedTraceContext),

@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "src/common/logging.h"
-
 namespace seastar {
 
 StatusOr<ExecutorSpec> ParseExecutorSpec(const std::string& spec) {
@@ -82,29 +80,5 @@ StatusOr<std::unique_ptr<Executor>> ExecutorFactory::Create(
 }
 
 const char* ExecutorFactory::Choices() { return "seastar|seastar-nofuse|dgl|pyg|sharded[:N]"; }
-
-std::unique_ptr<Executor> MakeExecutor(const BackendConfig& config) {
-  switch (config.backend) {
-    case Backend::kSeastar:
-      return std::make_unique<SeastarExecutor>(config.seastar_options);
-    case Backend::kSeastarNoFusion: {
-      SeastarExecutorOptions options = config.seastar_options;
-      options.enable_fusion = false;
-      return std::make_unique<SeastarExecutor>(options);
-    }
-    case Backend::kDglLike: {
-      BaselineExecutorOptions options = config.baseline_options;
-      options.flavor = BaselineFlavor::kDglLike;
-      return std::make_unique<BaselineExecutor>(options);
-    }
-    case Backend::kPygLike: {
-      BaselineExecutorOptions options = config.baseline_options;
-      options.flavor = BaselineFlavor::kPygLike;
-      return std::make_unique<BaselineExecutor>(options);
-    }
-  }
-  SEASTAR_LOG(Fatal) << "unknown backend";
-  return nullptr;
-}
 
 }  // namespace seastar

@@ -8,11 +8,8 @@
 //   ExecutionSession session = MakeSession(std::move(*executor), graph);
 //
 // Accepted specs: "seastar", "seastar-nofuse" (alias "nofuse"), "dgl",
-// "pyg", "sharded" (2 shards), "sharded:<N>". This replaces the old
-// Backend-enum plumbing (BackendFromString + BackendConfig switch at every
-// call site), which could only ever name the three whole-graph strategies —
-// a strategy with its own parameters ("sharded:4") had nowhere to live in
-// an enum.
+// "pyg", "sharded" (2 shards), "sharded:<N>". A spec string rather than an
+// enum because a strategy can carry its own parameters ("sharded:4").
 #ifndef SRC_CORE_EXECUTOR_FACTORY_H_
 #define SRC_CORE_EXECUTOR_FACTORY_H_
 
@@ -20,8 +17,9 @@
 #include <string>
 
 #include "src/common/status.h"
-#include "src/core/backend.h"
+#include "src/exec/baseline_executor.h"
 #include "src/exec/executor.h"
+#include "src/exec/seastar_executor.h"
 #include "src/exec/shard_runtime.h"
 
 namespace seastar {
@@ -56,11 +54,6 @@ class ExecutorFactory {
   // The accepted spellings, for CLI error messages.
   static const char* Choices();
 };
-
-// Bridges the legacy Backend enum to the executor API (the deprecated
-// RunWithBackend / VertexProgram::Run(graph, ..., config) shims and the few
-// call sites that still select by enum go through here).
-std::unique_ptr<Executor> MakeExecutor(const BackendConfig& config);
 
 }  // namespace seastar
 

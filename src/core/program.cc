@@ -5,7 +5,6 @@
 #include "src/common/deadline.h"
 #include "src/common/logging.h"
 #include "src/common/profiler.h"
-#include "src/core/executor_factory.h"
 #include "src/gir/fusion.h"
 #include "src/gir/passes.h"
 #include "src/tensor/ops.h"
@@ -264,16 +263,6 @@ Var VertexProgram::Run(const Inputs& inputs, const ExecutionSession& session) co
 
   return ag::CustomOp(std::move(tape_vars), std::move(output), std::move(backward_fn),
                       "vertex_program");
-}
-
-Var VertexProgram::Run(const Graph& graph, const Inputs& inputs, const BackendConfig& config,
-                       const RunContext& ctx) const {
-  // Compatibility shim: one throwaway executor + session per call. Any
-  // per-graph prepared state (a shard partition) is rebuilt every call —
-  // exactly the waste sessions exist to remove.
-  ExecutionSession session = MakeSession(MakeExecutor(config), graph);
-  session.set_profiler(ctx.profiler);
-  return Run(inputs, session);
 }
 
 std::string VertexProgram::DebugString() const {

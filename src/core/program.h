@@ -28,7 +28,6 @@
 #include <memory>
 #include <string>
 
-#include "src/core/backend.h"
 #include "src/exec/executor.h"
 #include "src/gir/autodiff.h"
 #include "src/gir/builder.h"
@@ -61,13 +60,6 @@ class VertexProgram {
   // plus the executors' per-unit / per-op spans; seed and retain are managed
   // internally by the autograd bridge.
   Var Run(const Inputs& inputs, const ExecutionSession& session) const;
-
-  // Deprecated compatibility shim: builds a throwaway executor from `config`
-  // and a single-use session per call (re-partitioning per call for any
-  // strategy with prepared state). Migrate to Run(inputs, session).
-  [[deprecated("build an ExecutionSession (MakeSession) and call Run(inputs, session)")]]
-  Var Run(const Graph& graph, const Inputs& inputs, const BackendConfig& config,
-          const RunContext& ctx = {}) const;
 
   const GirGraph& forward() const;
   const BackwardGir& backward() const;

@@ -40,22 +40,6 @@ FatGeometry CompiledProgram::GeometryFor(size_t unit_index, int64_t num_items,
   return it->second;
 }
 
-std::shared_ptr<const TilePlan> CompiledProgram::TilingFor(size_t unit_index, const Csr& csr,
-                                                           int num_workers) const {
-  const TilingKey key{unit_index, csr.num_vertices, csr.num_edges};
-  std::lock_guard<std::mutex> lock(tiling_mutex_);
-  auto it = tiling_cache_.find(key);
-  if (it == tiling_cache_.end()) {
-    const CompiledUnit& unit = units[unit_index];
-    const int32_t width = unit.aggs.empty() ? unit.max_width : unit.aggs[0].width;
-    it = tiling_cache_
-             .emplace(key, std::make_shared<TilePlan>(ComputeTilePlan(
-                               csr.offsets, csr.num_vertices, width, num_workers)))
-             .first;
-  }
-  return it->second;
-}
-
 std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
                                                 const FusionOptions& options) {
   auto result = std::make_shared<CompiledProgram>();
@@ -226,29 +210,6 @@ std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir,
       }
     }
 
-    // Tilable: a fast-path unit whose per-vertex work is *only* the edge loop
-    // plus the aggregation store — no invariant/post instructions whose
-    // register values would have to survive across feature tiles — and whose
-    // operands are plain rows (or full-row copies) so a column range [c0, c1)
-    // of the accumulator depends only on the same column range (or the
-    // width-1 broadcast) of the inputs.
-    if (unit.fast_path != FastPath::kNone && unit.invariant.empty() && unit.post.empty() &&
-        unit.aggs.size() == 1 && unit.aggs[0].materialized) {
-      const AggInstr& agg = unit.aggs[0];
-      if (unit.fast_path == FastPath::kCopySum) {
-        unit.tilable = agg.input.width == agg.width || agg.input.width == 1;
-      } else {
-        const Instr& e = unit.edge[0];
-        const auto concrete_row = [](const Operand& op) {
-          return op.src == Src::kKeyRow || op.src == Src::kNbrRow || op.src == Src::kEdgeRow;
-        };
-        const int32_t w = agg.width;
-        const bool widths_ok = (e.a.width == w && e.b.width == 1) ||
-                               (e.a.width == 1 && e.b.width == w) ||
-                               (e.a.width == w && e.b.width == w);
-        unit.tilable = concrete_row(e.a) && concrete_row(e.b) && widths_ok;
-      }
-    }
     program.units.push_back(std::move(unit));
   }
   return result;

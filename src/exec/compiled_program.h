@@ -26,10 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "src/exec/tiling.h"
 #include "src/gir/fusion.h"
 #include "src/gir/ir.h"
-#include "src/graph/csr.h"
 #include "src/parallel/simt.h"
 
 namespace seastar {
@@ -101,12 +99,6 @@ struct CompiledUnit {
   bool needs_edge_loop = false;
   bool has_typed_agg = false;
   FastPath fast_path = FastPath::kNone;
-  // True when the unit can run under the cache-blocked tiled scheme (see
-  // tiling.h): a fast-path edge loop with no invariant/post instructions and
-  // a single materialized sum/mean aggregation, so per-(segment, tile)
-  // execution needs nothing but the agg accumulator. Classified once at
-  // compile time; the executor additionally consults TilingEnabled().
-  bool tilable = false;
   std::vector<Instr> invariant;  // Key-side pre ops (loop hoisted).
   std::vector<Instr> edge;       // Per-edge ops.
   std::vector<AggInstr> aggs;
@@ -131,18 +123,6 @@ class CompiledProgram {
   // FAT geometry for one unit, memoized per (num_items, block_size).
   FatGeometry GeometryFor(size_t unit_index, int64_t num_items, int block_size) const;
 
-  // Cache-blocked tile plan for one unit over `csr`, memoized per
-  // (unit, num_vertices, num_edges) — the same scheme as the FAT-geometry
-  // memo, so a graph change misses naturally. The key deliberately does not
-  // fingerprint the degree distribution: two distinct graphs with identical
-  // (V, E) would share a plan, which can only cost locality, never
-  // correctness (any position partition is exact — see tiling.h). Plans are
-  // derived from the CSR's offset array (the cached degree data) on first
-  // use; `num_workers` shapes the parallel grain of the first computation
-  // and is not part of the key (pool size is fixed per process).
-  std::shared_ptr<const TilePlan> TilingFor(size_t unit_index, const Csr& csr,
-                                            int num_workers) const;
-
  private:
   struct GeometryKey {
     size_t unit;
@@ -156,19 +136,6 @@ class CompiledProgram {
   };
   mutable std::mutex geometry_mutex_;
   mutable std::map<GeometryKey, FatGeometry> geometry_cache_;
-
-  struct TilingKey {
-    size_t unit;
-    int64_t vertices;
-    int64_t edges;
-    bool operator<(const TilingKey& o) const {
-      if (unit != o.unit) return unit < o.unit;
-      if (vertices != o.vertices) return vertices < o.vertices;
-      return edges < o.edges;
-    }
-  };
-  mutable std::mutex tiling_mutex_;
-  mutable std::map<TilingKey, std::shared_ptr<const TilePlan>> tiling_cache_;
 };
 
 // Plans (fusion + materialization) and register-compiles `gir`. Returned via

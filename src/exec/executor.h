@@ -4,12 +4,12 @@
 // caller (models, VertexProgram, the train loop, the serve path, benches,
 // examples) reaches them through an `ExecutionSession`.
 //
-// This replaces the old free-function tail `RunWithBackend(config, graph,
-// features, ctx)`: a free function over a bare Graph hard-codes the
-// whole-graph single-address-space assumption, leaving no seam for
-// executors that need per-graph prepared state (a shard partition, and
-// later: ego-graph serving caches, per-tenant plan budgets). The session
-// makes "which slice of the graph am I running on" a first-class value:
+// Execution goes through a session rather than a free function over a bare
+// Graph: that would hard-code the whole-graph single-address-space
+// assumption, leaving no seam for executors that need per-graph prepared
+// state (a shard partition, and later: ego-graph serving caches,
+// per-tenant plan budgets). The session makes "which slice of the graph
+// am I running on" a first-class value:
 //
 //   auto executor = ExecutorFactory::Create("sharded:4");            // core/
 //   auto session = MakeSession(std::move(*executor), graph);  // partitions once

@@ -44,8 +44,8 @@ using SeedMap = std::map<int32_t, Tensor>;
 
 class Profiler;
 
-// Run-scoped execution context threaded through RunWithBackend, both
-// executors and VertexProgram::Run. Replaces the old raw-pointer tail
+// Run-scoped execution context threaded through every Executor and
+// VertexProgram::Run. Replaces the old raw-pointer tail
 // parameters (SeedMap*, retain vector) with one named carrier and adds the
 // observability sink, so growing the execution API means adding a field
 // here instead of another defaulted pointer at every call site.

@@ -1,5 +1,6 @@
 #include "src/exec/seastar_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cfloat>
 #include <cmath>
@@ -7,50 +8,18 @@
 
 #include "src/common/deadline.h"
 #include "src/common/logging.h"
-#include "src/common/metrics.h"
 #include "src/common/profiler.h"
 #include "src/common/tracing.h"
 #include "src/exec/compiled_program.h"
 #include "src/exec/kernel_counter.h"
 #include "src/exec/plan_cache.h"
 #include "src/exec/pointwise.h"
-#include "src/exec/tiling.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/allocator.h"
 #include "src/tensor/simd.h"
 
 namespace seastar {
 namespace {
-
-// Always-on per-tile observability (cached handles; bumped once per unit
-// launch on the orchestration path, never inside the edge loops). The SIMD
-// dispatch counter bakes the resolved ISA into a label, Prometheus-style, so
-// an exporter shows which row-kernel variant this process actually ran.
-struct TilingCounters {
-  metrics::Counter* segments;        // seastar_tiling_segments_total
-  metrics::Counter* tile_passes;     // seastar_tiling_tile_passes_total
-  metrics::Counter* edge_visits;     // seastar_tiling_edge_visits_total
-  metrics::Counter* tiled_units;     // seastar_tiling_units_tiled_total
-  metrics::Counter* untiled_units;   // seastar_tiling_units_untiled_total
-  metrics::Counter* simd_dispatch;   // seastar_simd_unit_dispatch_total{isa=...}
-};
-
-const TilingCounters& Tiling() {
-  static const TilingCounters counters = [] {
-    metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Get();
-    TilingCounters c;
-    c.segments = registry.GetCounter("seastar_tiling_segments_total");
-    c.tile_passes = registry.GetCounter("seastar_tiling_tile_passes_total");
-    c.edge_visits = registry.GetCounter("seastar_tiling_edge_visits_total");
-    c.tiled_units = registry.GetCounter("seastar_tiling_units_tiled_total");
-    c.untiled_units = registry.GetCounter("seastar_tiling_units_untiled_total");
-    c.simd_dispatch = registry.GetCounter(std::string("seastar_simd_unit_dispatch_total{isa=\"") +
-                                          simd::SimdIsaName() + "\"}");
-    registry.GetGauge("seastar_simd_lanes")->Set(static_cast<double>(simd::SimdLanes()));
-    return c;
-  }();
-  return counters;
-}
 
 inline const float* Resolve(const Operand& op, const float* scratch, int64_t key, int64_t nbr,
                             int64_t eid, int32_t etype, int64_t typed_stride) {
@@ -121,17 +90,11 @@ inline RowVary ClassifyRow(const Operand& op, const float* scratch, int64_t key,
 // Fused replacements for the interpreted edge loop (semantics identical; see
 // FastPath in compiled_program.h). These exist because per-edge dispatch —
 // two operand switches, an op switch and an agg switch — costs more than the
-// arithmetic itself at GNN feature widths.
-//
-// The loop is column-ranged: it accumulates columns [c0, c0 + n) of the
-// feature row into `acc[0 .. n)`. The untiled path calls it once per vertex
-// with the full width; the tiled path calls it once per (vertex, feature
-// tile). Both route every column through the *same* runtime-dispatched SIMD
-// kernel (src/tensor/simd.h), and each kernel is elementwise-independent
-// across columns, so the two partitionings produce bit-identical results —
-// the invariant the SEASTAR_TILING=0 parity tests pin down.
+// arithmetic itself at GNN feature widths. Every row goes through the
+// runtime-dispatched SIMD kernels of src/tensor/simd.h, so the rounding of
+// each column is fixed by those kernels, not by per-site code generation.
 inline void RunFastEdgeLoop(const CompiledUnit& unit, const Csr& csr, float* scratch, float* acc,
-                            int64_t key, int64_t begin, int64_t end, int32_t c0, int32_t n) {
+                            int64_t key, int64_t begin, int64_t end) {
   const AggInstr& agg = unit.aggs[0];
   const int32_t w = agg.width;
 
@@ -148,11 +111,11 @@ inline void RunFastEdgeLoop(const CompiledUnit& unit, const Csr& csr, float* scr
     };
     if (in.width == 1 && w > 1) {
       for (int64_t slot = begin; slot < end; ++slot) {
-        simd::AddScalarRow(acc, row(slot)[0], n);
+        simd::AddScalarRow(acc, row(slot)[0], w);
       }
     } else {
       for (int64_t slot = begin; slot < end; ++slot) {
-        simd::AddRow(acc, row(slot) + c0, n);
+        simd::AddRow(acc, row(slot), w);
       }
     }
     return;
@@ -182,25 +145,220 @@ inline void RunFastEdgeLoop(const CompiledUnit& unit, const Csr& csr, float* scr
   };
   if (wa == w && wb == 1) {
     for (int64_t slot = begin; slot < end; ++slot) {
-      simd::AxpyRow(acc, a_row(slot) + c0, b_row(slot)[0], n);
+      simd::AxpyRow(acc, a_row(slot), b_row(slot)[0], w);
     }
   } else if (wa == 1 && wb == w) {
     for (int64_t slot = begin; slot < end; ++slot) {
-      simd::AxpyRow(acc, b_row(slot) + c0, a_row(slot)[0], n);
+      simd::AxpyRow(acc, b_row(slot), a_row(slot)[0], w);
     }
   } else if (wa == w && wb == w) {
     for (int64_t slot = begin; slot < end; ++slot) {
-      simd::MulAddRow(acc, a_row(slot) + c0, b_row(slot) + c0, n);
+      simd::MulAddRow(acc, a_row(slot), b_row(slot), w);
     }
   } else {
-    // Unusual width mix; broadcast-indexed scalar form. Never tiled
-    // (`tilable` requires one of the three shapes above), so c0 == 0 here.
+    // Unusual width mix; broadcast-indexed scalar form.
     for (int64_t slot = begin; slot < end; ++slot) {
       const float* x = a_row(slot);
       const float* y = b_row(slot);
       for (int32_t j = 0; j < w; ++j) {
         acc[j] = __builtin_fmaf(x[wa == 1 ? 0 : j], y[wb == 1 ? 0 : j], acc[j]);
       }
+    }
+  }
+}
+
+// Key-side instructions (loop-invariant pre ops and post-aggregation ops):
+// evaluated once per key vertex, materialized as key rows when planned.
+inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* scratch, int64_t key,
+                         int64_t typed_stride) {
+  for (const Instr& instr : instrs) {
+    const float* a = Resolve(instr.a, scratch, key, /*nbr=*/0, /*eid=*/0, 0, typed_stride);
+    const float* b =
+        instr.binary ? Resolve(instr.b, scratch, key, 0, 0, 0, typed_stride) : nullptr;
+    EvalInstr(instr, scratch, a, b);
+    if (instr.mat == MatKind::kKeyRow) {
+      std::memcpy(instr.mat_base + key * instr.width, scratch + instr.out_reg,
+                  static_cast<size_t>(instr.width) * sizeof(float));
+    }
+  }
+}
+
+// One key vertex of a fast-path unit: its single sum/mean aggregation
+// initializes to zero and finalizes with at most a scale and a row store.
+inline void RunFastVertex(const CompiledUnit& unit, const Csr& csr, float* scratch, int64_t key,
+                          int64_t begin, int64_t end) {
+  const AggInstr& agg = unit.aggs[0];
+  float* acc = scratch + agg.acc_reg;
+  std::fill_n(acc, agg.width, 0.0f);
+  RunFastEdgeLoop(unit, csr, scratch, acc, key, begin, end);
+  if (agg.kind == OpKind::kAggMean) {
+    simd::ScaleRow(acc, end > begin ? 1.0f / static_cast<float>(end - begin) : 0.0f, agg.width);
+  }
+  if (agg.materialized) {
+    std::memcpy(agg.mat_base + key * agg.width, acc,
+                static_cast<size_t>(agg.width) * sizeof(float));
+  }
+}
+
+// Key vertices [first, last) of a fast-path unit without key-side
+// instructions: per vertex only the zeroed accumulator, the fused edge loop,
+// the mean scale and the row store. The same body as RunFastVertex, but with
+// the unit's fields read once per block instead of once per vertex; at
+// narrow rows (GCN's 16- and 7-wide serving layers) that per-vertex
+// overhead is a large share of the unit.
+inline void RunBareFastBlock(const CompiledUnit& unit, const Csr& csr, float* scratch,
+                             int64_t first, int64_t last, int64_t* edges) {
+  const AggInstr& agg = unit.aggs[0];
+  const int32_t w = agg.width;
+  float* const acc = scratch + agg.acc_reg;
+  const bool mean = agg.kind == OpKind::kAggMean;
+  for (int64_t k = first; k < last; ++k) {
+    const int64_t key = csr.position_vertex[static_cast<size_t>(k)];
+    const int64_t begin = csr.offsets[static_cast<size_t>(k)];
+    const int64_t end = csr.offsets[static_cast<size_t>(k) + 1];
+    if (edges != nullptr) {
+      *edges += end - begin;
+    }
+    for (int32_t j = 0; j < w; ++j) {
+      acc[j] = 0.0f;
+    }
+    RunFastEdgeLoop(unit, csr, scratch, acc, key, begin, end);
+    if (mean) {
+      simd::ScaleRow(acc, end > begin ? 1.0f / static_cast<float>(end - begin) : 0.0f, w);
+    }
+    std::memcpy(agg.mat_base + key * w, acc, static_cast<size_t>(w) * sizeof(float));
+  }
+}
+
+// One key vertex of any other unit: every aggregation kind, typed
+// (two-level) aggregations flushed at edge-type boundaries (§6.3.5).
+inline void RunInterpretedVertex(const CompiledUnit& unit, const Csr& csr, float* scratch,
+                                 int64_t key, int64_t begin, int64_t end, int64_t typed_stride) {
+  // 2. Aggregation initialization (Alg. 1 line 7).
+  for (const AggInstr& agg : unit.aggs) {
+    float* acc = scratch + agg.acc_reg;
+    const float init =
+        (agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) ? -FLT_MAX
+                                                                                : 0.0f;
+    for (int32_t j = 0; j < agg.width; ++j) {
+      acc[j] = init;
+    }
+    if (agg.inner_reg > 0 || agg.kind == OpKind::kAggTypeSumThenMax ||
+        agg.kind == OpKind::kAggTypedToSrc) {
+      float* inner = scratch + agg.inner_reg;
+      for (int32_t j = 0; j < agg.width; ++j) {
+        inner[j] = 0.0f;
+      }
+    }
+  }
+
+  const int64_t degree = end - begin;
+  int32_t prev_type = -1;
+  // 3. Edge-sequential loop (Alg. 1 lines 8-14).
+  for (int64_t slot = begin; slot < end; ++slot) {
+    const int64_t nbr = csr.nbr_ids[static_cast<size_t>(slot)];
+    const int64_t eid = csr.edge_ids[static_cast<size_t>(slot)];
+    const int32_t etype =
+        csr.edge_types.empty() ? 0 : csr.edge_types[static_cast<size_t>(slot)];
+
+    // Edge-type boundary: flush two-level aggregations (§6.3.5).
+    if (unit.has_typed_agg && etype != prev_type && prev_type >= 0) {
+      for (const AggInstr& agg : unit.aggs) {
+        float* inner = scratch + agg.inner_reg;
+        float* acc = scratch + agg.acc_reg;
+        if (agg.kind == OpKind::kAggTypeSumThenMax) {
+          for (int32_t j = 0; j < agg.width; ++j) {
+            acc[j] = std::max(acc[j], inner[j]);
+            inner[j] = 0.0f;
+          }
+        } else if (agg.kind == OpKind::kAggTypedToSrc) {
+          float* row = agg.mat_base +
+                       (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
+          std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
+          for (int32_t j = 0; j < agg.width; ++j) {
+            inner[j] = 0.0f;
+          }
+        }
+      }
+    }
+    prev_type = etype;
+
+    for (const Instr& instr : unit.edge) {
+      const float* a = Resolve(instr.a, scratch, key, nbr, eid, etype, typed_stride);
+      const float* b =
+          instr.binary ? Resolve(instr.b, scratch, key, nbr, eid, etype, typed_stride)
+                       : nullptr;
+      EvalInstr(instr, scratch, a, b);
+      if (instr.mat == MatKind::kEdgeRow) {
+        std::memcpy(instr.mat_base + eid * instr.width, scratch + instr.out_reg,
+                    static_cast<size_t>(instr.width) * sizeof(float));
+      } else if (instr.mat == MatKind::kNbrRow) {
+        AtomicStoreRow(instr.mat_base + nbr * instr.width, scratch + instr.out_reg,
+                       instr.width);
+      }
+    }
+    for (const AggInstr& agg : unit.aggs) {
+      const float* value =
+          Resolve(agg.input, scratch, key, nbr, eid, etype, typed_stride);
+      const int32_t wv = agg.input.width;
+      switch (agg.kind) {
+        case OpKind::kAggSum:
+        case OpKind::kAggMean: {
+          float* acc = scratch + agg.acc_reg;
+          for (int32_t j = 0; j < agg.width; ++j) {
+            acc[j] += value[wv == 1 ? 0 : j];
+          }
+          break;
+        }
+        case OpKind::kAggMax: {
+          float* acc = scratch + agg.acc_reg;
+          for (int32_t j = 0; j < agg.width; ++j) {
+            acc[j] = std::max(acc[j], value[wv == 1 ? 0 : j]);
+          }
+          break;
+        }
+        case OpKind::kAggTypeSumThenMax:
+        case OpKind::kAggTypedToSrc: {
+          float* inner = scratch + agg.inner_reg;
+          for (int32_t j = 0; j < agg.width; ++j) {
+            inner[j] += value[wv == 1 ? 0 : j];
+          }
+          break;
+        }
+        default:
+          break;
+      }
+    }
+  }
+
+  // 4. Aggregation output (Alg. 1 lines 15-16).
+  for (const AggInstr& agg : unit.aggs) {
+    float* acc = scratch + agg.acc_reg;
+    if (unit.has_typed_agg && prev_type >= 0) {
+      float* inner = scratch + agg.inner_reg;
+      if (agg.kind == OpKind::kAggTypeSumThenMax) {
+        for (int32_t j = 0; j < agg.width; ++j) {
+          acc[j] = std::max(acc[j], inner[j]);
+        }
+      } else if (agg.kind == OpKind::kAggTypedToSrc) {
+        float* row = agg.mat_base +
+                     (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
+        std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
+      }
+    }
+    if (agg.kind == OpKind::kAggMean) {
+      const float inv = degree > 0 ? 1.0f / static_cast<float>(degree) : 0.0f;
+      simd::ScaleRow(acc, inv, agg.width);
+    }
+    if ((agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) &&
+        degree == 0) {
+      for (int32_t j = 0; j < agg.width; ++j) {
+        acc[j] = 0.0f;
+      }
+    }
+    if (agg.materialized && agg.kind != OpKind::kAggTypedToSrc) {
+      std::memcpy(agg.mat_base + key * agg.width, acc,
+                  static_cast<size_t>(agg.width) * sizeof(float));
     }
   }
 }
@@ -358,87 +516,6 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
         profiler != nullptr ? static_cast<size_t>(num_workers) : 0);
     WorkerEdgeCount* edge_slots = edge_counts.empty() ? nullptr : edge_counts.data();
 
-    // Cache-blocked tiled launch (ISSUE 8): fast-path units whose per-vertex
-    // work is only the edge loop plus the aggregation store run segment-by-
-    // segment (L2-sized destination ranges) and feature-tile-by-tile
-    // (L1-sized column ranges), re-walking each segment's edges once per
-    // tile. Same kernels, same per-column operation order as the untiled
-    // loop below — only the iteration space is reshaped.
-    const bool tiled = unit.tilable && TilingEnabled();
-    if (tiled) {
-      const std::shared_ptr<const TilePlan> tile_plan =
-          program->TilingFor(unit_index, csr, num_workers);
-      const int64_t num_segments = tile_plan->num_segments();
-      const AggInstr& agg = unit.aggs[0];
-      const int32_t w = agg.width;
-      const int32_t tile_width = tile_plan->tile_width;
-      const bool is_mean = agg.kind == OpKind::kAggMean;
-
-      SimtLaunchStats launch_stats;
-      SimtLaunchParams launch;
-      launch.num_blocks = num_segments;
-      launch.schedule = options_.schedule;
-      launch.chunk_size = options_.dynamic_chunk;
-      launch.stats = profiler != nullptr ? &launch_stats : nullptr;
-
-      LaunchBlocks(launch, [&](int64_t segment, int worker) {
-        float* acc = scratch_base + worker * scratch_stride;
-        const int64_t p_begin = tile_plan->bounds[static_cast<size_t>(segment)];
-        const int64_t p_end = tile_plan->bounds[static_cast<size_t>(segment) + 1];
-        for (int32_t c0 = 0; c0 < w; c0 += tile_width) {
-          const int32_t n = std::min(tile_width, w - c0);
-          for (int64_t k = p_begin; k < p_end; ++k) {
-            const int64_t key = csr.position_vertex[static_cast<size_t>(k)];
-            const int64_t begin = csr.offsets[static_cast<size_t>(k)];
-            const int64_t end = csr.offsets[static_cast<size_t>(k) + 1];
-            if (edge_slots != nullptr && c0 == 0) {
-              edge_slots[worker].edges += end - begin;  // Unique edges, not re-walks.
-            }
-            for (int32_t j = 0; j < n; ++j) {
-              acc[j] = 0.0f;
-            }
-            RunFastEdgeLoop(unit, csr, acc, acc, key, begin, end, c0, n);
-            if (is_mean) {
-              const float inv = end > begin ? 1.0f / static_cast<float>(end - begin) : 0.0f;
-              simd::ScaleRow(acc, inv, n);
-            }
-            std::memcpy(agg.mat_base + key * w + c0, acc,
-                        static_cast<size_t>(n) * sizeof(float));
-          }
-        }
-      });
-
-      const TilingCounters& counters = Tiling();
-      const int64_t tile_passes = num_segments * tile_plan->num_tiles;
-      counters.segments->Add(num_segments);
-      counters.tile_passes->Add(tile_passes);
-      counters.edge_visits->Add(csr.num_edges * tile_plan->num_tiles);
-      counters.tiled_units->Add(1);
-      counters.simd_dispatch->Add(1);
-
-      if (ProfileEvent* event = unit_span.event()) {
-        int64_t edges = 0;
-        for (const WorkerEdgeCount& count : edge_counts) {
-          edges += count.edges;
-        }
-        event->edges = edges;
-        event->fat_groups = num_vertices;
-        event->fat_group_size = 1;  // Vertex-sequential within a segment.
-        event->num_blocks = num_segments;
-        event->dispatches = launch_stats.dispatches;
-        event->schedule = BlockScheduleName(options_.schedule);
-        event->kernel_launches = 1;
-        event->tile_segments = num_segments;
-        event->tile_passes = tile_passes;
-        event->tile_width = tile_width;
-        event->simd_isa = simd::SimdIsaName();
-        event->bytes_materialized =
-            num_vertices * w * static_cast<int64_t>(sizeof(float));
-      }
-      continue;
-    }
-    Tiling().untiled_units->Add(1);
-
     const FatGeometry geometry =
         program->GeometryFor(unit_index, num_vertices, options_.block_size);
     SimtLaunchStats launch_stats;
@@ -448,177 +525,40 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     launch.chunk_size = options_.dynamic_chunk;
     launch.stats = profiler != nullptr ? &launch_stats : nullptr;
 
+    // Chosen from the compiled unit: a fast-path unit whose only per-vertex
+    // work is its aggregation runs the bare block loop.
+    const bool bare = unit.fast_path != FastPath::kNone && unit.invariant.empty() &&
+                      unit.post.empty() && unit.aggs[0].materialized;
     LaunchBlocks(launch, [&](int64_t block_id, int worker) {
       float* scratch = scratch_base + worker * scratch_stride;
       const int64_t first = geometry.FirstItemOfBlock(block_id);
       const int64_t last = std::min<int64_t>(first + geometry.groups_per_block, num_vertices);
+      if (bare) {
+        RunBareFastBlock(unit, csr, scratch, first, last,
+                         edge_slots != nullptr ? &edge_slots[worker].edges : nullptr);
+        return;
+      }
       for (int64_t k = first; k < last; ++k) {
         const int64_t key = unit.needs_edge_loop || !csr.position_vertex.empty()
                                 ? csr.position_vertex[static_cast<size_t>(k)]
                                 : k;
         // 1. Loop-invariant key-side ops.
-        for (const Instr& instr : unit.invariant) {
-          const float* a = Resolve(instr.a, scratch, key, /*nbr=*/0, /*eid=*/0, 0, typed_stride);
-          const float* b = instr.binary
-                               ? Resolve(instr.b, scratch, key, 0, 0, 0, typed_stride)
-                               : nullptr;
-          EvalInstr(instr, scratch, a, b);
-          if (instr.mat == MatKind::kKeyRow) {
-            std::memcpy(instr.mat_base + key * instr.width, scratch + instr.out_reg,
-                        static_cast<size_t>(instr.width) * sizeof(float));
-          }
-        }
-        // 2. Aggregation initialization (Alg. 1 line 7).
-        for (const AggInstr& agg : unit.aggs) {
-          float* acc = scratch + agg.acc_reg;
-          const float init =
-              (agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) ? -FLT_MAX
-                                                                                      : 0.0f;
-          for (int32_t j = 0; j < agg.width; ++j) {
-            acc[j] = init;
-          }
-          if (agg.inner_reg > 0 || agg.kind == OpKind::kAggTypeSumThenMax ||
-              agg.kind == OpKind::kAggTypedToSrc) {
-            float* inner = scratch + agg.inner_reg;
-            for (int32_t j = 0; j < agg.width; ++j) {
-              inner[j] = 0.0f;
-            }
-          }
-        }
-
+        RunKeyInstrs(unit.invariant, scratch, key, typed_stride);
         const int64_t begin = unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k)] : 0;
         const int64_t end = unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k) + 1] : 0;
-        const int64_t degree = end - begin;
-        int32_t prev_type = -1;
         if (edge_slots != nullptr) {
-          edge_slots[worker].edges += degree;
+          edge_slots[worker].edges += end - begin;
         }
-
-        // 3. Edge-sequential loop (Alg. 1 lines 8-14) — fused fast path when
-        // the unit's shape allows, interpreted otherwise.
+        // 2-4. Aggregation init, edge-sequential loop and output (Alg. 1
+        // lines 7-16): fused fast path when the unit's shape allows,
+        // interpreted otherwise.
         if (unit.fast_path != FastPath::kNone) {
-          RunFastEdgeLoop(unit, csr, scratch, scratch + unit.aggs[0].acc_reg, key, begin, end,
-                          /*c0=*/0, unit.aggs[0].width);
-        } else
-        for (int64_t slot = begin; slot < end; ++slot) {
-          const int64_t nbr = csr.nbr_ids[static_cast<size_t>(slot)];
-          const int64_t eid = csr.edge_ids[static_cast<size_t>(slot)];
-          const int32_t etype =
-              csr.edge_types.empty() ? 0 : csr.edge_types[static_cast<size_t>(slot)];
-
-          // Edge-type boundary: flush two-level aggregations (§6.3.5).
-          if (unit.has_typed_agg && etype != prev_type && prev_type >= 0) {
-            for (const AggInstr& agg : unit.aggs) {
-              float* inner = scratch + agg.inner_reg;
-              float* acc = scratch + agg.acc_reg;
-              if (agg.kind == OpKind::kAggTypeSumThenMax) {
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  acc[j] = std::max(acc[j], inner[j]);
-                  inner[j] = 0.0f;
-                }
-              } else if (agg.kind == OpKind::kAggTypedToSrc) {
-                float* row = agg.mat_base +
-                             (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
-                std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  inner[j] = 0.0f;
-                }
-              }
-            }
-          }
-          prev_type = etype;
-
-          for (const Instr& instr : unit.edge) {
-            const float* a = Resolve(instr.a, scratch, key, nbr, eid, etype, typed_stride);
-            const float* b =
-                instr.binary ? Resolve(instr.b, scratch, key, nbr, eid, etype, typed_stride)
-                             : nullptr;
-            EvalInstr(instr, scratch, a, b);
-            if (instr.mat == MatKind::kEdgeRow) {
-              std::memcpy(instr.mat_base + eid * instr.width, scratch + instr.out_reg,
-                          static_cast<size_t>(instr.width) * sizeof(float));
-            } else if (instr.mat == MatKind::kNbrRow) {
-              AtomicStoreRow(instr.mat_base + nbr * instr.width, scratch + instr.out_reg,
-                             instr.width);
-            }
-          }
-          for (const AggInstr& agg : unit.aggs) {
-            const float* value =
-                Resolve(agg.input, scratch, key, nbr, eid, etype, typed_stride);
-            const int32_t wv = agg.input.width;
-            switch (agg.kind) {
-              case OpKind::kAggSum:
-              case OpKind::kAggMean: {
-                float* acc = scratch + agg.acc_reg;
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  acc[j] += value[wv == 1 ? 0 : j];
-                }
-                break;
-              }
-              case OpKind::kAggMax: {
-                float* acc = scratch + agg.acc_reg;
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  acc[j] = std::max(acc[j], value[wv == 1 ? 0 : j]);
-                }
-                break;
-              }
-              case OpKind::kAggTypeSumThenMax:
-              case OpKind::kAggTypedToSrc: {
-                float* inner = scratch + agg.inner_reg;
-                for (int32_t j = 0; j < agg.width; ++j) {
-                  inner[j] += value[wv == 1 ? 0 : j];
-                }
-                break;
-              }
-              default:
-                break;
-            }
-          }
-        }
-
-        // 4. Aggregation output (Alg. 1 lines 15-16).
-        for (const AggInstr& agg : unit.aggs) {
-          float* acc = scratch + agg.acc_reg;
-          if (unit.has_typed_agg && prev_type >= 0) {
-            float* inner = scratch + agg.inner_reg;
-            if (agg.kind == OpKind::kAggTypeSumThenMax) {
-              for (int32_t j = 0; j < agg.width; ++j) {
-                acc[j] = std::max(acc[j], inner[j]);
-              }
-            } else if (agg.kind == OpKind::kAggTypedToSrc) {
-              float* row = agg.mat_base +
-                           (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
-              std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
-            }
-          }
-          if (agg.kind == OpKind::kAggMean) {
-            const float inv = degree > 0 ? 1.0f / static_cast<float>(degree) : 0.0f;
-            // Same dispatched kernel as the tiled finalize — a lone multiply
-            // per column, so partitioning cannot perturb the scaling either.
-            simd::ScaleRow(acc, inv, agg.width);
-          }
-          if ((agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) &&
-              degree == 0) {
-            for (int32_t j = 0; j < agg.width; ++j) {
-              acc[j] = 0.0f;
-            }
-          }
-          if (agg.materialized && agg.kind != OpKind::kAggTypedToSrc) {
-            std::memcpy(agg.mat_base + key * agg.width, acc,
-                        static_cast<size_t>(agg.width) * sizeof(float));
-          }
+          RunFastVertex(unit, csr, scratch, key, begin, end);
+        } else {
+          RunInterpretedVertex(unit, csr, scratch, key, begin, end, typed_stride);
         }
         // 5. Post-aggregation vertex ops (Alg. 1 line 17).
-        for (const Instr& instr : unit.post) {
-          const float* a = Resolve(instr.a, scratch, key, 0, 0, 0, typed_stride);
-          const float* b =
-              instr.binary ? Resolve(instr.b, scratch, key, 0, 0, 0, typed_stride) : nullptr;
-          EvalInstr(instr, scratch, a, b);
-          if (instr.mat == MatKind::kKeyRow) {
-            std::memcpy(instr.mat_base + key * instr.width, scratch + instr.out_reg,
-                        static_cast<size_t>(instr.width) * sizeof(float));
-          }
-        }
+        RunKeyInstrs(unit.post, scratch, key, typed_stride);
       }
     });
 
@@ -635,6 +575,9 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       event->dispatches = launch_stats.dispatches;
       event->schedule = BlockScheduleName(options_.schedule);
       event->kernel_launches = 1;
+      if (unit.fast_path != FastPath::kNone) {
+        event->simd_isa = simd::SimdIsaName();
+      }
       for (int32_t id : fused.nodes) {
         if (!plan.materialized[static_cast<size_t>(id)]) {
           continue;

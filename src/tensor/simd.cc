@@ -217,12 +217,8 @@ bool CpuHasAvx2Fma() {
 
 #endif  // SEASTAR_SIMD_X86
 
-struct Dispatch {
-  const char* isa;
-  int lanes;
-};
-
-Dispatch ResolveDispatch() {
+// Returns the name of the resolved ISA.
+const char* ResolveDispatch() {
 #if defined(SEASTAR_SIMD_X86)
   if (CpuHasAvx2Fma()) {
     AddRow = AddRowAvx2;
@@ -232,16 +228,16 @@ Dispatch ResolveDispatch() {
     ScaleRow = ScaleRowAvx2;
     GemmTile4x16 = GemmTile4x16Avx2;
     GemmTile1x16 = GemmTile1x16Avx2;
-    return {"avx2", 8};
+    return "avx2";
   }
 #endif
-  return {"scalar", 1};
+  return "scalar";
 }
 
 // Static-init dispatch: the function pointers default to the scalar bodies
 // (so a call during another TU's static init is always safe), then resolve
 // to the widest supported ISA exactly once.
-const Dispatch g_dispatch = ResolveDispatch();
+const char* const g_isa = ResolveDispatch();
 
 }  // namespace
 
@@ -254,8 +250,7 @@ void (*GemmTile4x16)(const float*, int64_t, const float*, int64_t, float*, int64
     GemmTile4x16Scalar;
 void (*GemmTile1x16)(const float*, const float*, int64_t, float*, int64_t) = GemmTile1x16Scalar;
 
-const char* SimdIsaName() { return g_dispatch.isa; }
-int SimdLanes() { return g_dispatch.lanes; }
+const char* SimdIsaName() { return g_isa; }
 
 }  // namespace simd
 }  // namespace seastar

@@ -5,12 +5,10 @@
 // baseline executors are built on. They exist as out-of-line, runtime-
 // dispatched functions for two reasons:
 //
-//  * Bit-reproducibility across loop *partitionings*. The tiled executor
-//    runs the same per-edge accumulation as the untiled one, just restricted
-//    to a column range [c0, c1) of the feature row. Because both paths call
-//    the same kernel — and every kernel here is elementwise-independent
-//    across columns (one fma / add per column, no horizontal operations) —
-//    splitting a row into tiles cannot change a single bit of the result.
+//  * Bit-reproducibility across call sites. Every kernel here is
+//    elementwise-independent across columns (one fma / add per column, no
+//    horizontal operations), and every caller reaches the same dispatched
+//    function, so a column's rounding never depends on which loop called it.
 //    Inlining the loops separately at each call site would instead leave the
 //    rounding behaviour (FMA contraction, vector tails) to whatever the
 //    optimizer chose per site.
@@ -36,9 +34,6 @@ namespace simd {
 
 // Name of the dispatched implementation: "avx2" or "scalar".
 const char* SimdIsaName();
-// Preferred vector width in floats (8 for AVX2, 1 for scalar). Benchmarks
-// and the tile-size heuristic use it to align tile widths to full vectors.
-int SimdLanes();
 
 // acc[i] += x[i]                       (CopySum body)
 extern void (*AddRow)(float* acc, const float* x, int64_t n);

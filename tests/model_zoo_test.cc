@@ -1,4 +1,4 @@
-// Tests for the extended model zoo (GraphSAGE, GIN, SGC): backend
+// Tests for the extended model zoo (GraphSAGE, GIN, SGC): executor
 // equivalence, shape checks, learning, and model-specific semantics.
 #include <gtest/gtest.h>
 
@@ -19,19 +19,28 @@ Dataset SmallDataset(const std::string& name = "cora", double scale = 0.08) {
   return MakeDataset(*FindDataset(name), options);
 }
 
-std::shared_ptr<const Executor> Config(Backend backend) {
-  BackendConfig config;
-  config.backend = backend;
-  return MakeExecutor(config);
+std::shared_ptr<const Executor> ExecutorFor(const std::string& spec) {
+  return std::move(*ExecutorFactory::Create(spec));
 }
 
-class ZooBackendTest : public ::testing::TestWithParam<Backend> {};
+// The executors checked against "seastar". Each value indexes kZooSpecs and
+// kZooLabels; the explicit values keep the generated test ids (which embed
+// the printed parameter) stable.
+enum class ZooExecutor { kSeastarNoFuse = 1, kDgl = 2, kPyg = 3 };
+constexpr const char* kZooSpecs[] = {"seastar", "seastar-nofuse", "dgl", "pyg"};
+constexpr const char* kZooLabels[] = {"Seastar", "Seastar_nofuse", "DGL", "PyG"};
+
+std::shared_ptr<const Executor> ExecutorFor(ZooExecutor which) {
+  return ExecutorFor(kZooSpecs[static_cast<int>(which)]);
+}
+
+class ZooBackendTest : public ::testing::TestWithParam<ZooExecutor> {};
 
 TEST_P(ZooBackendTest, SageMeanMatchesSeastar) {
   Dataset data = SmallDataset();
   SageConfig config;
-  Sage reference(data, config, Config(Backend::kSeastar));
-  Sage model(data, config, Config(GetParam()));
+  Sage reference(data, config, ExecutorFor("seastar"));
+  Sage model(data, config, ExecutorFor(GetParam()));
   EXPECT_TRUE(
       reference.Forward(false).value().AllClose(model.Forward(false).value(), 1e-3f));
 }
@@ -39,23 +48,17 @@ TEST_P(ZooBackendTest, SageMeanMatchesSeastar) {
 TEST_P(ZooBackendTest, GinMatchesSeastar) {
   Dataset data = SmallDataset();
   GinConfig config;
-  Gin reference(data, config, Config(Backend::kSeastar));
-  Gin model(data, config, Config(GetParam()));
+  Gin reference(data, config, ExecutorFor("seastar"));
+  Gin model(data, config, ExecutorFor(GetParam()));
   EXPECT_TRUE(
       reference.Forward(false).value().AllClose(model.Forward(false).value(), 1e-3f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ZooBackendTest,
-                         ::testing::Values(Backend::kSeastarNoFusion, Backend::kDglLike,
-                                           Backend::kPygLike),
-                         [](const ::testing::TestParamInfo<Backend>& info) {
-                           std::string name = BackendName(info.param);
-                           for (char& c : name) {
-                             if (!std::isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
+                         ::testing::Values(ZooExecutor::kSeastarNoFuse, ZooExecutor::kDgl,
+                                           ZooExecutor::kPyg),
+                         [](const ::testing::TestParamInfo<ZooExecutor>& info) {
+                           return kZooLabels[static_cast<int>(info.param)];
                          });
 
 TEST(SageModelTest, PoolVariantRunsAndLearns) {
@@ -63,7 +66,7 @@ TEST(SageModelTest, PoolVariantRunsAndLearns) {
   SageConfig config;
   config.aggregator = SageAggregator::kPool;
   config.dropout = 0.0f;
-  Sage model(data, config, Config(Backend::kSeastar));
+  Sage model(data, config, ExecutorFor("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;
@@ -77,7 +80,7 @@ TEST(SageModelTest, MeanVariantLearns) {
   Dataset data = SmallDataset();
   SageConfig config;
   config.dropout = 0.0f;
-  Sage model(data, config, Config(Backend::kSeastar));
+  Sage model(data, config, ExecutorFor("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;
@@ -96,8 +99,8 @@ TEST(GinModelTest, EpsilonScalesSelfContribution) {
   a.dropout = 0.0f;
   GinConfig b = a;
   b.epsilon = 1.0f;
-  Gin model_a(data, a, Config(Backend::kSeastar));
-  Gin model_b(data, b, Config(Backend::kSeastar));
+  Gin model_a(data, a, ExecutorFor("seastar"));
+  Gin model_b(data, b, ExecutorFor("seastar"));
   // Same seed -> same MLP weights; different eps -> different logits.
   EXPECT_FALSE(
       model_a.Forward(false).value().AllClose(model_b.Forward(false).value(), 1e-3f));
@@ -107,7 +110,7 @@ TEST(GinModelTest, Learns) {
   Dataset data = SmallDataset();
   GinConfig config;
   config.dropout = 0.0f;
-  Gin model(data, config, Config(Backend::kSeastar));
+  Gin model(data, config, ExecutorFor("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;
@@ -120,9 +123,9 @@ TEST(GinModelTest, Learns) {
 TEST(SgcModelTest, PropagationIsBackendInvariant) {
   Dataset data = SmallDataset();
   SgcConfig config;
-  Sgc a(data, config, Config(Backend::kSeastar));
-  Sgc b(data, config, Config(Backend::kDglLike));
-  Sgc c(data, config, Config(Backend::kPygLike));
+  Sgc a(data, config, ExecutorFor("seastar"));
+  Sgc b(data, config, ExecutorFor("dgl"));
+  Sgc c(data, config, ExecutorFor("pyg"));
   EXPECT_TRUE(a.propagated_features().AllClose(b.propagated_features(), 1e-3f));
   EXPECT_TRUE(a.propagated_features().AllClose(c.propagated_features(), 1e-3f));
 }
@@ -131,14 +134,14 @@ TEST(SgcModelTest, ZeroHopsEqualsRawFeatures) {
   Dataset data = SmallDataset();
   SgcConfig config;
   config.num_hops = 0;
-  Sgc model(data, config, Config(Backend::kSeastar));
+  Sgc model(data, config, ExecutorFor("seastar"));
   EXPECT_TRUE(model.propagated_features().AllClose(data.features, 1e-6f));
 }
 
 TEST(SgcModelTest, TrainsFastAndLearns) {
   Dataset data = SmallDataset();
   SgcConfig config;
-  Sgc model(data, config, Config(Backend::kSeastar));
+  Sgc model(data, config, ExecutorFor("seastar"));
   Var first_loss =
       ag::NllLoss(ag::LogSoftmax(model.Forward(true)), data.labels, data.train_mask);
   TrainConfig train;

@@ -327,5 +327,64 @@ TEST(OpsTest, OneHot) {
   EXPECT_TRUE(t.AllClose(Tensor({3, 3}, {0, 1, 0, 1, 0, 0, 0, 0, 1})));
 }
 
+// ---- Dense-GEMM panel tails ---------------------------------------------------------------------
+// GemmRowMajor covers full 16-column panels with the dispatched micro-
+// kernels and the remainder with a narrowing register-blocked cascade.
+// Feature dims that are not a multiple of 16 (7, 33, 257) must still match
+// a plain reference matmul on every element, including the final columns.
+
+Tensor ReferenceMatmul(const Tensor& a, const Tensor& b) {
+  const int64_t n = a.dim(0);
+  const int64_t k = a.dim(1);
+  const int64_t m = b.dim(1);
+  Tensor out = Tensor::Zeros({n, m});
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av = a.data()[i * k + kk];
+      for (int64_t j = 0; j < m; ++j) {
+        out.data()[i * m + j] += av * b.data()[kk * m + j];
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GemmTailTest, NonMultipleOf16ColumnCountsMatchReference) {
+  Rng rng(23);
+  for (const int64_t m : {int64_t{7}, int64_t{33}, int64_t{257}}) {
+    const int64_t n = 37;
+    const int64_t k = 51;
+    Tensor a = ops::RandomNormal({n, k}, 0, 1, rng);
+    Tensor b = ops::RandomNormal({k, m}, 0, 1, rng);
+    Tensor got = ops::Matmul(a, b);
+    Tensor want = ReferenceMatmul(a, b);
+    ASSERT_EQ(got.numel(), want.numel());
+    for (int64_t i = 0; i < got.numel(); ++i) {
+      // FMA contraction in the dispatched kernels rounds differently from
+      // the reference's separate mul+add; bound the drift, don't expect
+      // bit equality across *different* algorithms.
+      ASSERT_NEAR(got.data()[i], want.data()[i], 1e-4f * static_cast<float>(k))
+          << "m=" << m << " element " << i;
+    }
+  }
+}
+
+TEST(GemmTailTest, TransposeBTailsMatchReference) {
+  Rng rng(29);
+  for (const int64_t m : {int64_t{7}, int64_t{33}, int64_t{257}}) {
+    const int64_t n = 21;
+    const int64_t k = 19;
+    Tensor a = ops::RandomNormal({n, k}, 0, 1, rng);
+    Tensor b = ops::RandomNormal({m, k}, 0, 1, rng);
+    Tensor got = ops::MatmulTransposeB(a, b);
+    Tensor bt = ops::Transpose(b);
+    Tensor want = ReferenceMatmul(a, bt);
+    for (int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_NEAR(got.data()[i], want.data()[i], 1e-4f * static_cast<float>(k))
+          << "m=" << m << " element " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace seastar

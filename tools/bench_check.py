@@ -32,12 +32,6 @@ failure (a benchmark silently dropped is itself a regression); a fresh entry
 with no baseline is reported but allowed (new coverage should not need a
 two-commit dance).
 
-The kernel report (BENCH_kernels.json, from ./bench_kernels_micro
---sweep-out=...) gates the tiled aggregation path: every sweep point must
-report bitwise tiled-vs-untiled parity (machine-independent, gated exactly
-— a single differing bit means the tiled loops changed results, which the
-design forbids), and both timings sit inside the usual band.
-
 The shard report (BENCH_shard.json, from ./bench_shard_scaling) adds a
 scaling-floor gate: speedup_at_max_shards must reach --shard-speedup-floor,
 a single-shard run must exchange zero halo messages, and every run must
@@ -48,7 +42,7 @@ interpreter is a regression, not noise.
 Usage:
   tools/bench_check.py --baseline-dir bench/baselines \
       --train BENCH_train_epoch.json --serve BENCH_serve.json \
-      --shard BENCH_shard.json --kernels BENCH_kernels.json
+      --shard BENCH_shard.json
   tools/bench_check.py --self-test     # prove the gate trips on regressions
 
 Exit codes: 0 ok, 1 regression detected, 2 usage or I/O error.
@@ -63,7 +57,6 @@ import sys
 TRAIN_BASELINE = "BENCH_train_epoch.json"
 SERVE_BASELINE = "BENCH_serve.json"
 SHARD_BASELINE = "BENCH_shard.json"
-KERNELS_BASELINE = "BENCH_kernels.json"
 
 
 class Gate:
@@ -211,31 +204,6 @@ def check_serve_tenants(gate, where, base, scen, timing_tol):
         gate.extra(f"{where}/{name}")
 
 
-def check_kernels(gate, baseline, fresh, timing_tol, _slack):
-    key = lambda s: (s["kernel"], s["skew"], s["feat_dim"])
-    base_sweeps = {key(s): s for s in baseline.get("sweeps", [])}
-    fresh_sweeps = {key(s): s for s in fresh.get("sweeps", [])}
-    for k, base in sorted(base_sweeps.items()):
-        where = f"kernels {k[0]}/{k[1]}/d{k[2]}"
-        sweep = fresh_sweeps.get(k)
-        if sweep is None:
-            gate.missing(where)
-            continue
-        for metric in ("tiled_ms", "untiled_ms"):
-            gate.check(where, metric, sweep[metric], base[metric],
-                       base[metric] * timing_tol, f"{timing_tol:g}x timing band")
-        # Machine-independent: tiled and untiled edge loops share the
-        # dispatched SIMD kernels and columns are independent, so any
-        # loop partitioning must reproduce the untiled bits exactly. A
-        # violation means the tiled path changed arithmetic, not just
-        # locality — wrong regardless of any baseline.
-        gate.check(where, "tiled_parity_violation",
-                   0 if sweep["bitwise_equal"] else 1, 0, 0,
-                   f"exact: max_abs_diff={sweep.get('max_abs_diff', '?')}")
-    for k in sorted(set(fresh_sweeps) - set(base_sweeps)):
-        gate.extra(f"kernels {k[0]}/{k[1]}/d{k[2]}")
-
-
 def check_shard(gate, baseline, fresh, timing_tol, speedup_floor):
     base_runs = {r["shards"]: r for r in baseline.get("runs", [])}
     fresh_runs = {r["shards"]: r for r in fresh.get("runs", [])}
@@ -301,8 +269,6 @@ def run_gate(args):
         (args.train, os.path.join(args.baseline_dir, TRAIN_BASELINE), check_train),
         (args.serve, os.path.join(args.baseline_dir, SERVE_BASELINE), serve_checker),
         (args.shard, os.path.join(args.baseline_dir, SHARD_BASELINE), shard_checker),
-        (args.kernels, os.path.join(args.baseline_dir, KERNELS_BASELINE),
-         check_kernels),
     )
     for fresh_path, baseline_path, checker in pairs:
         if not fresh_path:
@@ -358,18 +324,6 @@ def self_test(args):
         }],
     }
 
-    kernels_base = {
-        "bench": "kernels", "simd_isa": "avx2", "simd_lanes": 8,
-        "sweeps": [
-            {"kernel": "copy_sum", "skew": "uniform", "feat_dim": 16,
-             "untiled_ms": 2.0, "tiled_ms": 1.5, "bitwise_equal": True,
-             "max_abs_diff": 0.0},
-            {"kernel": "mul_sum", "skew": "zipf", "feat_dim": 256,
-             "untiled_ms": 40.0, "tiled_ms": 32.0, "bitwise_equal": True,
-             "max_abs_diff": 0.0},
-        ],
-    }
-
     shard_base = {
         "bench": "shard_scaling", "speedup_at_max_shards": 1.8,
         "runs": [
@@ -395,7 +349,6 @@ def self_test(args):
     check_train(g, train_base, copy.deepcopy(train_base), 3.0, 5.0)
     check_serve(g, serve_base, copy.deepcopy(serve_base), 3.0, 5.0)
     check_shard(g, shard_base, copy.deepcopy(shard_base), 3.0, 1.2)
-    check_kernels(g, kernels_base, copy.deepcopy(kernels_base), 3.0, 5.0)
     expect("identical", g, want_fail=False)
 
     # 2. Timing just inside the band passes; beyond it fails.
@@ -526,31 +479,10 @@ def self_test(args):
     check_shard(g, shard_base, retried, 3.0, 1.2)
     expect("shard-retry-in-steady-state", g, want_fail=True)
 
-    # 11. A tiled-parity violation fails exactly, even with perfect timings —
-    # the tiled loops are only allowed to change locality, never bits.
-    skewed = copy.deepcopy(kernels_base)
-    skewed["sweeps"][1]["bitwise_equal"] = False
-    skewed["sweeps"][1]["max_abs_diff"] = 3.1e-05
-    g = Gate()
-    check_kernels(g, kernels_base, skewed, 3.0, 5.0)
-    expect("kernel-parity-violation", g, want_fail=True)
-
-    # 12. A tiled-timing cliff fails; a dropped sweep point fails too.
-    cliff = copy.deepcopy(kernels_base)
-    cliff["sweeps"][0]["tiled_ms"] = 50.0
-    g = Gate()
-    check_kernels(g, kernels_base, cliff, 3.0, 5.0)
-    expect("kernel-tiled-cliff", g, want_fail=True)
-
-    g = Gate()
-    check_kernels(g, kernels_base, {"sweeps": kernels_base["sweeps"][:1]},
-                  3.0, 5.0)
-    expect("kernel-dropped-sweep", g, want_fail=True)
-
     for line in failures:
         print(line, file=sys.stderr)
     print(f"bench_check --self-test: {'FAIL' if failures else 'ok'} "
-          f"(22 cases)")
+          f"(19 cases)")
     return 1 if failures else 0
 
 
@@ -564,8 +496,6 @@ def main():
                         help="fresh BENCH_serve.json to gate")
     parser.add_argument("--shard", default="",
                         help="fresh BENCH_shard.json to gate")
-    parser.add_argument("--kernels", default="",
-                        help="fresh BENCH_kernels.json to gate")
     parser.add_argument("--timing-tolerance", type=float, default=3.0,
                         help="multiplicative band for timing metrics")
     parser.add_argument("--malloc-slack", type=float, default=5.0,
