@@ -25,6 +25,12 @@
 int main(int argc, char** argv) {
   using namespace seastar;
 
+  if (const Status flags =
+          CheckKnownFlags(argc, argv, {"epochs", "executor", "scale", "checkpoint", "resume"});
+      !flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 1;
+  }
   const int64_t epochs = FlagInt(argc, argv, "epochs", 50);
   const std::string executor_spec = FlagValue(argc, argv, "executor", "seastar");
   const double scale = FlagDouble(argc, argv, "scale", 1.0);

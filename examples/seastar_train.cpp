@@ -112,6 +112,16 @@ StatusOr<Dataset> DatasetFromEdgeFile(const std::string& path, int64_t feature_d
 }
 
 int Run(int argc, char** argv) {
+  if (const Status flags = CheckKnownFlags(
+          argc, argv,
+          {"model", "dataset", "executor", "edges", "epochs", "warmup", "lr", "scale", "max-feat",
+           "hidden", "budget-gb", "csv", "profile", "checkpoint", "checkpoint-every", "resume",
+           "max-retries", "faults", "metrics-out", "metrics-text", "events-out", "rgcn-mode",
+           "sage-agg"});
+      !flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 1;
+  }
   const std::string model_name = FlagValue(argc, argv, "model", "gcn");
   const std::string dataset_name = FlagValue(argc, argv, "dataset", "cora");
   const std::string executor_spec = FlagValue(argc, argv, "executor", "seastar");

@@ -1,5 +1,6 @@
 #include "src/common/string_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -109,6 +110,20 @@ bool FlagBool(int argc, char** argv, const std::string& key, bool fallback) {
     return fallback;
   }
   return value == "1" || value == "true" || value == "yes" || value == "on";
+}
+
+Status CheckKnownFlags(int argc, char** argv, const std::vector<std::string>& known) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string key =
+        StartsWith(arg, "--") ? arg.substr(2, eq == std::string::npos ? eq : eq - 2) : "";
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::Error(StatusCode::kInvalidArgument,
+                           "unknown flag '" + arg + "' (known: --" + Join(known, " --") + ")");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace seastar

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace seastar {
 
 // Splits `text` on `sep`, keeping empty pieces.
@@ -31,6 +33,12 @@ std::string FlagValue(int argc, char** argv, const std::string& key, const std::
 double FlagDouble(int argc, char** argv, const std::string& key, double fallback);
 int64_t FlagInt(int argc, char** argv, const std::string& key, int64_t fallback);
 bool FlagBool(int argc, char** argv, const std::string& key, bool fallback);
+
+// Fails with kInvalidArgument, naming the argument, unless every argv entry
+// is --key or --key=value with `key` in `known`. The Flag* readers ignore
+// anything else, so a typo such as --epoch=5 or a retired flag would run
+// silently with the defaults.
+Status CheckKnownFlags(int argc, char** argv, const std::vector<std::string>& known);
 
 }  // namespace seastar
 

@@ -2,15 +2,16 @@
 // executor so it can be cached across runs (see plan_cache.h).
 //
 // Compiling a GIR — fusion planning, register allocation, lowering every
-// fused unit to a small register program — depends only on the GIR's content
-// and the fusion options, never on the graph or the feature bindings. The
-// CompiledProgram therefore stores *templates*: instructions whose operand
-// base pointers are null and instead carry the GIR node id they should be
-// bound to (`bind_node` / `mat_node`). Each run builds a per-run table of
-// node id -> base pointer (leaf features, degree tensors, freshly allocated
-// materialization tensors), copies the small instruction vectors, and patches
-// the pointers in (PatchUnit). The hot kernel loop then runs on fully
-// resolved pointers, exactly as it did when compilation happened per run.
+// fused unit to a flat list of steps — depends only on the GIR's content and
+// the fusion options, never on the graph or the feature bindings. A step is
+// one GIR op run over a run of rows by a row kernel chosen here
+// (row_kernels.h); everything the kernel needs except the per-run base
+// pointers is fixed at compile time: the op, its width/broadcast pattern,
+// each operand's home and row index, and where the result goes. Operands
+// backed by a per-run tensor (leaf features, degree tensors, other units'
+// materialized values) carry the GIR node id; the launch reads the base
+// from its per-run node-id table when it binds the step, once per run of
+// rows. The compiled program is never copied or patched per run.
 //
 // FAT geometry is cached here too, keyed by (unit, num_items, block_size):
 // geometry depends only on those plus the unit's max feature width, so a
@@ -26,84 +27,91 @@
 #include <string>
 #include <vector>
 
+#include "src/exec/row_kernels.h"
 #include "src/gir/fusion.h"
 #include "src/gir/ir.h"
 #include "src/parallel/simt.h"
 
 namespace seastar {
 
-// Where an operand's bytes come from at kernel time.
-enum class Src : uint8_t {
-  kReg,       // Scratch register of the current FAT group.
-  kKeyRow,    // base + key_vertex * width (key-side vertex tensor).
-  kNbrRow,    // base + nbr_vertex * width.
-  kEdgeRow,   // base + edge_id * width.
-  kTypedRow,  // base + (edge_type * num_vertices + nbr_vertex) * width.
-  kScalar,    // Immediate.
+// Where an operand's (or output's) base pointer comes from.
+enum class Home : uint8_t {
+  kImm,       // The operand's own immediate (a P-typed value).
+  kKeyRegs,   // The worker's key-register file: one row per block vertex.
+  kEdgeRegs,  // The worker's edge-register file: one row per chunk slot.
+  kNode,      // This run's tensor of GIR node `node`.
 };
 
-struct Operand {
-  Src src = Src::kScalar;
-  int32_t reg = 0;
-  const float* base = nullptr;  // Null in the cached template; patched per run.
-  int32_t bind_node = -1;       // GIR node whose per-run base fills `base`.
+// Which index array addresses an operand's rows: row r of a run is
+// base + index[r] * stride.
+enum class Index : uint8_t {
+  kZero,      // Row 0 for every r (immediates).
+  kItem,      // r itself: the run's own register rows.
+  kKeyLocal,  // Block-local row of the slot's key vertex (key registers read per edge).
+  kKey,       // Key vertex id.
+  kNbr,       // Neighbour vertex id of the slot.
+  kEid,       // Edge id of the slot.
+  kTyped,     // edge_type * num_vertices + neighbour id.
+};
+inline constexpr int kNumIndex = 7;
+
+// Rows per run of a step: the launch's identity and all-zero index arrays
+// have this length, so an edge chunk or a key-side run is at most this long.
+inline constexpr int32_t kMaxRunRows = 512;
+// Target size of a worker's edge-register file; wide units get shorter
+// chunks (at least 16 slots).
+inline constexpr int32_t kEdgeFileFloats = 8192;
+
+struct StepOperand {
+  Home home = Home::kImm;
+  Index index = Index::kZero;
+  int32_t offset = 0;  // Column offset inside a register file.
+  int32_t node = -1;   // kNode: the GIR node whose tensor backs the rows.
   int32_t width = 1;
-  float scalar = 0.0f;
+  int32_t stride = 1;  // Floats between consecutive rows.
+  float imm = 0.0f;
 };
 
-// Where a computed value is written (if materialized).
-enum class MatKind : uint8_t { kNone, kKeyRow, kNbrRow, kEdgeRow };
-
-struct Instr {
+// One pointwise op (or a neighbour-row store) over a run of rows.
+struct Step {
   OpKind kind = OpKind::kIdentity;
-  int32_t width = 1;
+  RowKernel kernel = nullptr;
+  int32_t width = 1;  // Output width (input width for the reductions).
   float attr = 0.0f;
-  Operand a;
-  Operand b;
-  bool binary = false;
-  int32_t out_reg = 0;
-  MatKind mat = MatKind::kNone;
-  float* mat_base = nullptr;  // Null in the template; patched per run.
-  int32_t mat_node = -1;
+  StepOperand a;
+  StepOperand b;
+  StepOperand out;
 };
 
-struct AggInstr {
+// One aggregation, accumulated chunk by chunk into key registers.
+struct AggStep {
   OpKind kind = OpKind::kAggSum;
+  AggKernel kernel = nullptr;
+  bool fused_mul = false;  // acc += a * b (the unit's only edge op, folded in).
   int32_t width = 1;
-  Operand input;
-  int32_t acc_reg = 0;    // Outer accumulator.
-  int32_t inner_reg = 0;  // Inner (per-type) accumulator for typed aggs.
-  // Materialization (aggregation results are key-side rows, except
-  // kAggTypedToSrc which writes a [num_types, N, width] stack).
-  float* mat_base = nullptr;  // Null in the template; patched per run.
-  int32_t mat_node = -1;
-  bool materialized = false;
-  int64_t typed_rows = 0;  // = num_vertices for kAggTypedToSrc; set per run.
+  StepOperand a;
+  StepOperand b;           // fused_mul only.
+  int32_t acc = 0;         // Key-register column of the accumulator.
+  int32_t inner = 0;       // Key-register column of the per-type partial sum.
+  int32_t prev_type = -1;  // Typed kinds: which per-vertex last-type array.
+  int32_t node = -1;       // Materialized result node; -1 = register only.
 };
-
-// Edge-loop specialization, classified once at compile time. The generic
-// interpreter pays a dispatch cascade (operand Resolve + op switch + agg
-// switch) per edge, which dominates at GNN feature widths; the two shapes
-// every sum-style vertex program lowers to get fused inner loops instead:
-//   kCopySum — no per-edge ops, one AggSum/AggMean pulling a row directly:
-//              acc[j] += row[j]. (E.g. GCN backward, APPNP propagation.)
-//   kMulSum  — one non-materialized Mul feeding one AggSum/AggMean:
-//              acc[j] += a[j] * b[j] (with width-1 broadcast on either side).
-//              (E.g. GCN forward, GAT's weighted aggregation.)
-// Unit semantics are unchanged — only the loop body is specialized, and only
-// when no typed aggregation / typed operand is involved.
-enum class FastPath : uint8_t { kNone, kCopySum, kMulSum };
 
 struct CompiledUnit {
   GraphType orientation = GraphType::kDst;
   bool needs_edge_loop = false;
-  bool has_typed_agg = false;
-  FastPath fast_path = FastPath::kNone;
-  std::vector<Instr> invariant;  // Key-side pre ops (loop hoisted).
-  std::vector<Instr> edge;       // Per-edge ops.
-  std::vector<AggInstr> aggs;
-  std::vector<Instr> post;       // Post-aggregation key-side ops.
-  int32_t scratch_floats = 0;
+  std::vector<Step> key_steps;   // Loop-invariant key-side ops, per block vertex.
+  std::vector<Step> edge_steps;  // Per-edge ops, per chunk of CSR slots.
+  std::vector<AggStep> aggs;
+  std::vector<Step> post_steps;  // Post-aggregation key-side ops.
+  int32_t key_stride = 0;        // Floats per key-register row.
+  int32_t edge_stride = 0;       // Floats per edge-register row.
+  int32_t chunk_slots = 1;       // CSR slots per edge run.
+  int32_t typed_aggs = 0;        // Per-vertex last-type arrays needed.
+  // Per-slot index arrays the edge steps read, filled per chunk.
+  bool uses_slot_keys = false;    // Index::kKey.
+  bool uses_slot_locals = false;  // Index::kKeyLocal.
+  bool uses_slot_typed = false;   // Index::kTyped (also the typed aggregations' edge types).
   int32_t max_width = 1;
 };
 
@@ -113,7 +121,7 @@ struct CompiledUnit {
 class CompiledProgram {
  public:
   ExecutionPlan plan;
-  std::vector<CompiledUnit> units;       // Templates (null base pointers).
+  std::vector<CompiledUnit> units;
   std::vector<std::string> unit_labels;  // "unit3:Mul+AggSum" trace labels.
   // Host-side values of P-typed nodes (constants and arithmetic on
   // constants), indexed by node id. P values cannot depend on features or the
@@ -138,16 +146,10 @@ class CompiledProgram {
   mutable std::map<GeometryKey, FatGeometry> geometry_cache_;
 };
 
-// Plans (fusion + materialization) and register-compiles `gir`. Returned via
+// Plans (fusion + materialization) and lowers `gir` to steps. Returned via
 // shared_ptr because CompiledProgram owns a mutex (the geometry memo) and is
 // therefore immovable.
 std::shared_ptr<CompiledProgram> CompileProgram(const GirGraph& gir, const FusionOptions& options);
-
-// Fills in the null base pointers of a per-run copy of a template unit.
-// `node_base[id]` is the base pointer of node id's backing tensor this run
-// (leaf binding, degree tensor, or materialization buffer); entries for
-// register-resident nodes stay null and are never consulted.
-void PatchUnit(CompiledUnit* unit, const std::vector<float*>& node_base, int64_t num_vertices);
 
 }  // namespace seastar
 

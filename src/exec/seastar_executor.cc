@@ -1,10 +1,9 @@
 #include "src/exec/seastar_executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cfloat>
-#include <cmath>
-#include <cstring>
+#include <climits>
+#include <cstdint>
+#include <new>
 
 #include "src/common/deadline.h"
 #include "src/common/logging.h"
@@ -13,7 +12,7 @@
 #include "src/exec/compiled_program.h"
 #include "src/exec/kernel_counter.h"
 #include "src/exec/plan_cache.h"
-#include "src/exec/pointwise.h"
+#include "src/exec/row_kernels.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/allocator.h"
 #include "src/tensor/simd.h"
@@ -21,346 +20,196 @@
 namespace seastar {
 namespace {
 
-inline const float* Resolve(const Operand& op, const float* scratch, int64_t key, int64_t nbr,
-                            int64_t eid, int32_t etype, int64_t typed_stride) {
-  switch (op.src) {
-    case Src::kReg:
-      return scratch + op.reg;
-    case Src::kKeyRow:
-      return op.base + key * op.width;
-    case Src::kNbrRow:
-      return op.base + nbr * op.width;
-    case Src::kEdgeRow:
-      return op.base + eid * op.width;
-    case Src::kTypedRow:
-      return op.base + (static_cast<int64_t>(etype) * typed_stride + nbr) * op.width;
-    case Src::kScalar:
-      return &op.scalar;
-  }
-  return nullptr;
-}
-
-// Evaluates one pointwise instruction into scratch.
-inline void EvalInstr(const Instr& instr, float* scratch, const float* a, const float* b) {
-  PointwiseApply(instr.kind, instr.attr, scratch + instr.out_reg, instr.width, a, instr.a.width,
-                 b, instr.b.width);
-}
-
-inline void AtomicStoreRow(float* dst, const float* src, int32_t width) {
-  // Benign overwrite of identical values from concurrent FAT groups;
-  // relaxed atomics keep it defined behaviour.
-  for (int32_t j = 0; j < width; ++j) {
-    std::atomic_ref<float>(dst[j]).store(src[j], std::memory_order_relaxed);
-  }
-}
-
 // Per-worker hot-loop counter, cacheline-padded against false sharing.
 struct alignas(64) WorkerEdgeCount {
   int64_t edges = 0;
 };
 
-// ---- FastPath edge loops ------------------------------------------------------------------------
-// Operand resolution for the specialized loops: registers, immediates and key
-// rows do not change across one vertex's edge loop and collapse to a single
-// pointer; nbr/edge rows index their base per slot.
-enum class RowVary : uint8_t { kFixed, kNbr, kEdge };
+// The identity and all-zero index arrays of every run (Index::kItem /
+// Index::kZero).
+struct StaticIndex {
+  int32_t item[kMaxRunRows];
+  int32_t zero[kMaxRunRows];
+};
 
-inline RowVary ClassifyRow(const Operand& op, const float* scratch, int64_t key,
-                           const float** fixed) {
-  switch (op.src) {
-    case Src::kReg:
-      *fixed = scratch + op.reg;
-      return RowVary::kFixed;
-    case Src::kScalar:
-      *fixed = &op.scalar;
-      return RowVary::kFixed;
-    case Src::kKeyRow:
-      *fixed = op.base + key * op.width;
-      return RowVary::kFixed;
-    case Src::kNbrRow:
-      return RowVary::kNbr;
-    case Src::kEdgeRow:
-      return RowVary::kEdge;
-    case Src::kTypedRow:
-      break;  // Excluded by fast-path detection.
-  }
-  return RowVary::kFixed;
+const StaticIndex& RunIndex() {
+  static const StaticIndex index = [] {
+    StaticIndex built{};
+    for (int32_t r = 0; r < kMaxRunRows; ++r) {
+      built.item[r] = r;
+    }
+    return built;
+  }();
+  return index;
 }
 
-// Fused replacements for the interpreted edge loop (semantics identical; see
-// FastPath in compiled_program.h). These exist because per-edge dispatch —
-// two operand switches, an op switch and an agg switch — costs more than the
-// arithmetic itself at GNN feature widths. Every row goes through the
-// runtime-dispatched SIMD kernels of src/tensor/simd.h, so the rounding of
-// each column is fixed by those kernels, not by per-site code generation.
-inline void RunFastEdgeLoop(const CompiledUnit& unit, const Csr& csr, float* scratch, float* acc,
-                            int64_t key, int64_t begin, int64_t end) {
-  const AggInstr& agg = unit.aggs[0];
-  const int32_t w = agg.width;
+// What a worker's steps bind against for one run of rows: its register
+// files, this run's tensors, and the index array of every Index kind.
+struct Frame {
+  float* key_regs = nullptr;
+  float* edge_regs = nullptr;
+  float* const* node_base = nullptr;
+  const int32_t* index[kNumIndex] = {};
+};
 
-  if (unit.fast_path == FastPath::kCopySum) {
-    const Operand& in = agg.input;
-    const float* fixed = nullptr;
-    const RowVary vary = ClassifyRow(in, scratch, key, &fixed);
-    const auto row = [&](int64_t slot) {
-      return vary == RowVary::kFixed
-                 ? fixed
-                 : in.base + (vary == RowVary::kNbr ? csr.nbr_ids[static_cast<size_t>(slot)]
-                                                    : csr.edge_ids[static_cast<size_t>(slot)]) *
-                                 in.width;
+inline RowRef Bind(const StepOperand& op, const Frame& frame) {
+  float* base = nullptr;
+  switch (op.home) {
+    case Home::kImm:
+      base = const_cast<float*>(&op.imm);
+      break;
+    case Home::kKeyRegs:
+      base = frame.key_regs + op.offset;
+      break;
+    case Home::kEdgeRegs:
+      base = frame.edge_regs + op.offset;
+      break;
+    case Home::kNode:
+      base = frame.node_base[op.node];
+      break;
+  }
+  return {base, frame.index[static_cast<int>(op.index)], op.stride};
+}
+
+inline void RunSteps(const std::vector<Step>& steps, const Frame& frame, int64_t rows) {
+  for (const Step& step : steps) {
+    const RowArgs args{Bind(step.out, frame), Bind(step.a, frame), Bind(step.b, frame),
+                       step.width,            step.a.width,        step.b.width,
+                       step.attr};
+    step.kernel(args, rows);
+  }
+}
+
+// Floats of one worker's scratch row: key-register file (one row per block
+// vertex), edge-register file (one row per chunk slot), then the int32
+// per-slot index arrays and per-vertex last-type arrays.
+struct WorkerLayout {
+  int64_t key_floats = 0;
+  int64_t edge_floats = 0;
+  int64_t int_words = 0;
+  int64_t stride = 0;  // Multiple of 16 floats: every row starts on a cache line.
+
+  WorkerLayout(const CompiledUnit& unit, int64_t block_vertices) {
+    key_floats = block_vertices * unit.key_stride;
+    edge_floats = static_cast<int64_t>(unit.chunk_slots) * unit.edge_stride;
+    int_words = 3 * static_cast<int64_t>(unit.chunk_slots) + unit.typed_aggs * block_vertices;
+    stride = (key_floats + edge_floats + int_words + 15) & ~int64_t{15};
+  }
+};
+
+// Runs one block of key vertices (CSR positions [first, last)) through a
+// unit (Algorithm 1): key-side steps, then the block's CSR slots chunk by
+// chunk through the edge steps and aggregations, then the post steps.
+void RunBlock(const CompiledUnit& unit, const Csr& csr, const WorkerLayout& layout,
+              float* worker, float* const* node_base, int64_t typed_rows, int64_t first,
+              int64_t last) {
+  const StaticIndex& run_index = RunIndex();
+  const int64_t n = last - first;
+  const int32_t* keys = csr.position_vertex.data() + first;
+  float* const key_file = worker;
+  // The int32 arrays start their lifetime here, in the float scratch.
+  int32_t* const ints = new (worker + layout.key_floats + layout.edge_floats)
+      int32_t[static_cast<size_t>(layout.int_words)];
+
+  Frame frame;
+  frame.node_base = node_base;
+  frame.index[static_cast<int>(Index::kZero)] = run_index.zero;
+  frame.index[static_cast<int>(Index::kItem)] = run_index.item;
+  const auto run_key_steps = [&](const std::vector<Step>& steps) {
+    for (int64_t i0 = 0; i0 < n; i0 += kMaxRunRows) {
+      frame.key_regs = key_file + i0 * unit.key_stride;
+      frame.index[static_cast<int>(Index::kKey)] = keys + i0;
+      RunSteps(steps, frame, std::min<int64_t>(kMaxRunRows, n - i0));
+    }
+  };
+
+  // 1. Loop-invariant key-side ops.
+  run_key_steps(unit.key_steps);
+
+  if (unit.needs_edge_loop) {
+    const int64_t chunk = unit.chunk_slots;
+    const int64_t* offsets = csr.offsets.data() + first;
+    int32_t* slot_keys = ints;
+    int32_t* slot_locals = ints + chunk;
+    int32_t* slot_typed = ints + 2 * chunk;
+    int32_t* prev_types = ints + 3 * chunk;
+    const int32_t* edge_types = csr.edge_types.empty() ? nullptr : csr.edge_types.data();
+
+    AggArgs agg_base;
+    agg_base.acc_stride = unit.key_stride;
+    agg_base.offsets = offsets;
+    agg_base.num_vertices = n;
+    agg_base.typed_rows = typed_rows;
+    agg_base.keys = keys;
+    const auto agg_args = [&](const AggStep& agg) {
+      AggArgs args = agg_base;
+      args.w = agg.width;
+      args.wa = agg.a.width;
+      args.wb = agg.b.width;
+      args.acc = key_file + agg.acc;
+      args.inner = key_file + agg.inner;
+      args.prev_type = agg.prev_type >= 0 ? prev_types + agg.prev_type * n : nullptr;
+      args.typed_out = agg.node >= 0 ? node_base[agg.node] : nullptr;
+      return args;
     };
-    if (in.width == 1 && w > 1) {
-      for (int64_t slot = begin; slot < end; ++slot) {
-        simd::AddScalarRow(acc, row(slot)[0], w);
+    // 2. Aggregation initialization (Alg. 1 line 7).
+    for (const AggStep& agg : unit.aggs) {
+      InitAggregation(agg.kind, agg_args(agg));
+    }
+
+    // 3. The block's CSR slots, one chunk at a time (Alg. 1 lines 8-14).
+    frame.key_regs = key_file;
+    frame.edge_regs = worker + layout.key_floats;
+    frame.index[static_cast<int>(Index::kKey)] = slot_keys;
+    frame.index[static_cast<int>(Index::kKeyLocal)] = slot_locals;
+    frame.index[static_cast<int>(Index::kTyped)] = slot_typed;
+    int64_t v = 0;  // First block vertex whose slots reach the chunk.
+    for (int64_t s0 = offsets[0]; s0 < offsets[n]; s0 += chunk) {
+      const int64_t s1 = std::min(s0 + chunk, offsets[n]);
+      while (offsets[v + 1] <= s0) {
+        ++v;
       }
-    } else {
-      for (int64_t slot = begin; slot < end; ++slot) {
-        simd::AddRow(acc, row(slot), w);
-      }
-    }
-    return;
-  }
-
-  // kMulSum: acc[j] += a[j] * b[j], width-1 broadcast on either operand.
-  const Instr& mul = unit.edge[0];
-  const int32_t wa = mul.a.width;
-  const int32_t wb = mul.b.width;
-  const float* a_fixed = nullptr;
-  const float* b_fixed = nullptr;
-  const RowVary a_vary = ClassifyRow(mul.a, scratch, key, &a_fixed);
-  const RowVary b_vary = ClassifyRow(mul.b, scratch, key, &b_fixed);
-  const auto a_row = [&](int64_t slot) {
-    return a_vary == RowVary::kFixed
-               ? a_fixed
-               : mul.a.base + (a_vary == RowVary::kNbr ? csr.nbr_ids[static_cast<size_t>(slot)]
-                                                       : csr.edge_ids[static_cast<size_t>(slot)]) *
-                                  wa;
-  };
-  const auto b_row = [&](int64_t slot) {
-    return b_vary == RowVary::kFixed
-               ? b_fixed
-               : mul.b.base + (b_vary == RowVary::kNbr ? csr.nbr_ids[static_cast<size_t>(slot)]
-                                                       : csr.edge_ids[static_cast<size_t>(slot)]) *
-                                  wb;
-  };
-  if (wa == w && wb == 1) {
-    for (int64_t slot = begin; slot < end; ++slot) {
-      simd::AxpyRow(acc, a_row(slot), b_row(slot)[0], w);
-    }
-  } else if (wa == 1 && wb == w) {
-    for (int64_t slot = begin; slot < end; ++slot) {
-      simd::AxpyRow(acc, b_row(slot), a_row(slot)[0], w);
-    }
-  } else if (wa == w && wb == w) {
-    for (int64_t slot = begin; slot < end; ++slot) {
-      simd::MulAddRow(acc, a_row(slot), b_row(slot), w);
-    }
-  } else {
-    // Unusual width mix; broadcast-indexed scalar form.
-    for (int64_t slot = begin; slot < end; ++slot) {
-      const float* x = a_row(slot);
-      const float* y = b_row(slot);
-      for (int32_t j = 0; j < w; ++j) {
-        acc[j] = __builtin_fmaf(x[wa == 1 ? 0 : j], y[wb == 1 ? 0 : j], acc[j]);
-      }
-    }
-  }
-}
-
-// Key-side instructions (loop-invariant pre ops and post-aggregation ops):
-// evaluated once per key vertex, materialized as key rows when planned.
-inline void RunKeyInstrs(const std::vector<Instr>& instrs, float* scratch, int64_t key,
-                         int64_t typed_stride) {
-  for (const Instr& instr : instrs) {
-    const float* a = Resolve(instr.a, scratch, key, /*nbr=*/0, /*eid=*/0, 0, typed_stride);
-    const float* b =
-        instr.binary ? Resolve(instr.b, scratch, key, 0, 0, 0, typed_stride) : nullptr;
-    EvalInstr(instr, scratch, a, b);
-    if (instr.mat == MatKind::kKeyRow) {
-      std::memcpy(instr.mat_base + key * instr.width, scratch + instr.out_reg,
-                  static_cast<size_t>(instr.width) * sizeof(float));
-    }
-  }
-}
-
-// One key vertex of a fast-path unit: its single sum/mean aggregation
-// initializes to zero and finalizes with at most a scale and a row store.
-inline void RunFastVertex(const CompiledUnit& unit, const Csr& csr, float* scratch, int64_t key,
-                          int64_t begin, int64_t end) {
-  const AggInstr& agg = unit.aggs[0];
-  float* acc = scratch + agg.acc_reg;
-  std::fill_n(acc, agg.width, 0.0f);
-  RunFastEdgeLoop(unit, csr, scratch, acc, key, begin, end);
-  if (agg.kind == OpKind::kAggMean) {
-    simd::ScaleRow(acc, end > begin ? 1.0f / static_cast<float>(end - begin) : 0.0f, agg.width);
-  }
-  if (agg.materialized) {
-    std::memcpy(agg.mat_base + key * agg.width, acc,
-                static_cast<size_t>(agg.width) * sizeof(float));
-  }
-}
-
-// Key vertices [first, last) of a fast-path unit without key-side
-// instructions: per vertex only the zeroed accumulator, the fused edge loop,
-// the mean scale and the row store. The same body as RunFastVertex, but with
-// the unit's fields read once per block instead of once per vertex; at
-// narrow rows (GCN's 16- and 7-wide serving layers) that per-vertex
-// overhead is a large share of the unit.
-inline void RunBareFastBlock(const CompiledUnit& unit, const Csr& csr, float* scratch,
-                             int64_t first, int64_t last, int64_t* edges) {
-  const AggInstr& agg = unit.aggs[0];
-  const int32_t w = agg.width;
-  float* const acc = scratch + agg.acc_reg;
-  const bool mean = agg.kind == OpKind::kAggMean;
-  for (int64_t k = first; k < last; ++k) {
-    const int64_t key = csr.position_vertex[static_cast<size_t>(k)];
-    const int64_t begin = csr.offsets[static_cast<size_t>(k)];
-    const int64_t end = csr.offsets[static_cast<size_t>(k) + 1];
-    if (edges != nullptr) {
-      *edges += end - begin;
-    }
-    for (int32_t j = 0; j < w; ++j) {
-      acc[j] = 0.0f;
-    }
-    RunFastEdgeLoop(unit, csr, scratch, acc, key, begin, end);
-    if (mean) {
-      simd::ScaleRow(acc, end > begin ? 1.0f / static_cast<float>(end - begin) : 0.0f, w);
-    }
-    std::memcpy(agg.mat_base + key * w, acc, static_cast<size_t>(w) * sizeof(float));
-  }
-}
-
-// One key vertex of any other unit: every aggregation kind, typed
-// (two-level) aggregations flushed at edge-type boundaries (§6.3.5).
-inline void RunInterpretedVertex(const CompiledUnit& unit, const Csr& csr, float* scratch,
-                                 int64_t key, int64_t begin, int64_t end, int64_t typed_stride) {
-  // 2. Aggregation initialization (Alg. 1 line 7).
-  for (const AggInstr& agg : unit.aggs) {
-    float* acc = scratch + agg.acc_reg;
-    const float init =
-        (agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) ? -FLT_MAX
-                                                                                : 0.0f;
-    for (int32_t j = 0; j < agg.width; ++j) {
-      acc[j] = init;
-    }
-    if (agg.inner_reg > 0 || agg.kind == OpKind::kAggTypeSumThenMax ||
-        agg.kind == OpKind::kAggTypedToSrc) {
-      float* inner = scratch + agg.inner_reg;
-      for (int32_t j = 0; j < agg.width; ++j) {
-        inner[j] = 0.0f;
-      }
-    }
-  }
-
-  const int64_t degree = end - begin;
-  int32_t prev_type = -1;
-  // 3. Edge-sequential loop (Alg. 1 lines 8-14).
-  for (int64_t slot = begin; slot < end; ++slot) {
-    const int64_t nbr = csr.nbr_ids[static_cast<size_t>(slot)];
-    const int64_t eid = csr.edge_ids[static_cast<size_t>(slot)];
-    const int32_t etype =
-        csr.edge_types.empty() ? 0 : csr.edge_types[static_cast<size_t>(slot)];
-
-    // Edge-type boundary: flush two-level aggregations (§6.3.5).
-    if (unit.has_typed_agg && etype != prev_type && prev_type >= 0) {
-      for (const AggInstr& agg : unit.aggs) {
-        float* inner = scratch + agg.inner_reg;
-        float* acc = scratch + agg.acc_reg;
-        if (agg.kind == OpKind::kAggTypeSumThenMax) {
-          for (int32_t j = 0; j < agg.width; ++j) {
-            acc[j] = std::max(acc[j], inner[j]);
-            inner[j] = 0.0f;
-          }
-        } else if (agg.kind == OpKind::kAggTypedToSrc) {
-          float* row = agg.mat_base +
-                       (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
-          std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
-          for (int32_t j = 0; j < agg.width; ++j) {
-            inner[j] = 0.0f;
+      frame.index[static_cast<int>(Index::kNbr)] = csr.nbr_ids.data() + s0;
+      frame.index[static_cast<int>(Index::kEid)] = csr.edge_ids.data() + s0;
+      if (unit.uses_slot_keys || unit.uses_slot_locals) {
+        for (int64_t i = v; i < n && offsets[i] < s1; ++i) {
+          const int64_t hi = std::min(offsets[i + 1], s1) - s0;
+          for (int64_t r = std::max(offsets[i], s0) - s0; r < hi; ++r) {
+            slot_keys[r] = keys[i];
+            slot_locals[r] = static_cast<int32_t>(i);
           }
         }
       }
+      if (unit.uses_slot_typed) {
+        for (int64_t r = 0; r < s1 - s0; ++r) {
+          const int64_t type = edge_types != nullptr ? edge_types[s0 + r] : 0;
+          slot_typed[r] = static_cast<int32_t>(type * typed_rows + csr.nbr_ids[s0 + r]);
+        }
+      }
+      RunSteps(unit.edge_steps, frame, s1 - s0);
+      for (const AggStep& agg : unit.aggs) {
+        AggArgs args = agg_args(agg);
+        args.a = Bind(agg.a, frame);
+        args.b = Bind(agg.b, frame);
+        args.first_vertex = v;
+        args.s0 = s0;
+        args.s1 = s1;
+        args.edge_type = edge_types != nullptr ? edge_types + s0 : run_index.zero;
+        agg.kernel(args);
+      }
     }
-    prev_type = etype;
 
-    for (const Instr& instr : unit.edge) {
-      const float* a = Resolve(instr.a, scratch, key, nbr, eid, etype, typed_stride);
-      const float* b =
-          instr.binary ? Resolve(instr.b, scratch, key, nbr, eid, etype, typed_stride)
-                       : nullptr;
-      EvalInstr(instr, scratch, a, b);
-      if (instr.mat == MatKind::kEdgeRow) {
-        std::memcpy(instr.mat_base + eid * instr.width, scratch + instr.out_reg,
-                    static_cast<size_t>(instr.width) * sizeof(float));
-      } else if (instr.mat == MatKind::kNbrRow) {
-        AtomicStoreRow(instr.mat_base + nbr * instr.width, scratch + instr.out_reg,
-                       instr.width);
-      }
-    }
-    for (const AggInstr& agg : unit.aggs) {
-      const float* value =
-          Resolve(agg.input, scratch, key, nbr, eid, etype, typed_stride);
-      const int32_t wv = agg.input.width;
-      switch (agg.kind) {
-        case OpKind::kAggSum:
-        case OpKind::kAggMean: {
-          float* acc = scratch + agg.acc_reg;
-          for (int32_t j = 0; j < agg.width; ++j) {
-            acc[j] += value[wv == 1 ? 0 : j];
-          }
-          break;
-        }
-        case OpKind::kAggMax: {
-          float* acc = scratch + agg.acc_reg;
-          for (int32_t j = 0; j < agg.width; ++j) {
-            acc[j] = std::max(acc[j], value[wv == 1 ? 0 : j]);
-          }
-          break;
-        }
-        case OpKind::kAggTypeSumThenMax:
-        case OpKind::kAggTypedToSrc: {
-          float* inner = scratch + agg.inner_reg;
-          for (int32_t j = 0; j < agg.width; ++j) {
-            inner[j] += value[wv == 1 ? 0 : j];
-          }
-          break;
-        }
-        default:
-          break;
-      }
+    // 4. Aggregation output (Alg. 1 lines 15-16).
+    for (const AggStep& agg : unit.aggs) {
+      FinishAggregation(agg.kind, agg_args(agg),
+                        agg.node >= 0 && agg.kind != OpKind::kAggTypedToSrc
+                            ? node_base[agg.node]
+                            : nullptr);
     }
   }
 
-  // 4. Aggregation output (Alg. 1 lines 15-16).
-  for (const AggInstr& agg : unit.aggs) {
-    float* acc = scratch + agg.acc_reg;
-    if (unit.has_typed_agg && prev_type >= 0) {
-      float* inner = scratch + agg.inner_reg;
-      if (agg.kind == OpKind::kAggTypeSumThenMax) {
-        for (int32_t j = 0; j < agg.width; ++j) {
-          acc[j] = std::max(acc[j], inner[j]);
-        }
-      } else if (agg.kind == OpKind::kAggTypedToSrc) {
-        float* row = agg.mat_base +
-                     (static_cast<int64_t>(prev_type) * agg.typed_rows + key) * agg.width;
-        std::memcpy(row, inner, static_cast<size_t>(agg.width) * sizeof(float));
-      }
-    }
-    if (agg.kind == OpKind::kAggMean) {
-      const float inv = degree > 0 ? 1.0f / static_cast<float>(degree) : 0.0f;
-      simd::ScaleRow(acc, inv, agg.width);
-    }
-    if ((agg.kind == OpKind::kAggMax || agg.kind == OpKind::kAggTypeSumThenMax) &&
-        degree == 0) {
-      for (int32_t j = 0; j < agg.width; ++j) {
-        acc[j] = 0.0f;
-      }
-    }
-    if (agg.materialized && agg.kind != OpKind::kAggTypedToSrc) {
-      std::memcpy(agg.mat_base + key * agg.width, acc,
-                  static_cast<size_t>(agg.width) * sizeof(float));
-    }
-  }
+  // 5. Post-aggregation vertex ops (Alg. 1 line 17).
+  run_key_steps(unit.post_steps);
 }
 
 }  // namespace
@@ -384,9 +233,9 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
   const uint64_t run_pool_hits_before = allocator.pool_hits();
   const uint64_t run_fresh_mallocs_before = allocator.fresh_mallocs();
 
-  // Plan + register-compile once per distinct GIR, process-wide (keyed on
+  // Plan + lower to steps once per distinct GIR, process-wide (keyed on
   // content fingerprint and fusion options): epoch N>1 reuses the compiled
-  // template and only rebinds base pointers below.
+  // steps and only builds this run's node-id -> base pointer table.
   FusionOptions fusion_options;
   fusion_options.enable_fusion = options_.enable_fusion;
   bool plan_hit = false;
@@ -464,8 +313,8 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     (*saved)[id] = std::move(tensor);
   }
 
-  // Per-run base-pointer table, indexed by node id; PatchUnit splices these
-  // into copies of the compiled templates.
+  // Per-run base-pointer table, indexed by node id: steps bind their tensor
+  // operands through it.
   std::vector<float*> node_base(static_cast<size_t>(gir.num_nodes()), nullptr);
   for (auto& [id, tensor] : leaf_value) {
     node_base[static_cast<size_t>(id)] = tensor.data();
@@ -490,24 +339,30 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
     trace_unit_span.Detail(program->unit_labels[unit_index]);
     AddKernelLaunches(1);
 
-    CompiledUnit unit = program->units[unit_index];  // Copy the template...
-    PatchUnit(&unit, node_base, num_vertices);       // ...and bind this run's pointers.
-
+    const CompiledUnit& unit = program->units[unit_index];
     const Csr& csr =
         unit.orientation == GraphType::kDst ? graph.in_csr() : graph.out_csr();
-
-    // ---- Launch -------------------------------------------------------------------------------
-    const int64_t typed_stride = num_vertices;
     const int num_workers = ThreadPool::Current().num_threads() + 1;
+    const FatGeometry geometry =
+        program->GeometryFor(unit_index, num_vertices, options_.block_size);
 
-    // Per-worker register scratch, one cacheline-aligned row per worker so
-    // concurrent FAT groups never false-share. A pooled Tensor rather than
-    // fresh vectors: in steady state (same GIR, same pool) the allocation is
-    // a pool hit, so the whole epoch runs with zero fresh mallocs.
-    const int64_t scratch_stride =
-        (static_cast<int64_t>(std::max(unit.scratch_floats, 1)) + 15) & ~int64_t{15};
-    Tensor scratch_tensor = Tensor::Zeros({num_workers, scratch_stride});
-    float* scratch_base = scratch_tensor.data();
+    // Per-worker scratch sized to one block, one 64-byte-aligned row per
+    // worker so concurrent blocks never share a cache line. A pooled Tensor
+    // rather than fresh vectors: in steady state (same GIR, same pool) the
+    // allocation is a pool hit, so the whole epoch runs with zero fresh
+    // mallocs.
+    const WorkerLayout layout(
+        unit, std::min<int64_t>(geometry.groups_per_block, std::max<int64_t>(num_vertices, 1)));
+    Tensor scratch_tensor({num_workers * layout.stride + 16});
+    float* const scratch_base = reinterpret_cast<float*>(
+        (reinterpret_cast<uintptr_t>(scratch_tensor.data()) + 63) & ~uintptr_t{63});
+    for (int worker = 0; worker < num_workers; ++worker) {
+      SEASTAR_CHECK_EQ(reinterpret_cast<uintptr_t>(scratch_base + worker * layout.stride) % 64,
+                       0u);
+    }
+    SEASTAR_CHECK(!unit.uses_slot_typed ||
+                  static_cast<int64_t>(num_types) * num_vertices <= INT32_MAX)
+        << "typed rows overflow the int32 slot index";
 
     // Profiling-only per-worker traversal counters, merged after the launch
     // (never touched when profiling is off; one padded slot per worker so
@@ -516,50 +371,21 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
         profiler != nullptr ? static_cast<size_t>(num_workers) : 0);
     WorkerEdgeCount* edge_slots = edge_counts.empty() ? nullptr : edge_counts.data();
 
-    const FatGeometry geometry =
-        program->GeometryFor(unit_index, num_vertices, options_.block_size);
     SimtLaunchStats launch_stats;
     SimtLaunchParams launch;
     launch.num_blocks = geometry.num_blocks;
     launch.schedule = options_.schedule;
     launch.chunk_size = options_.dynamic_chunk;
     launch.stats = profiler != nullptr ? &launch_stats : nullptr;
-
-    // Chosen from the compiled unit: a fast-path unit whose only per-vertex
-    // work is its aggregation runs the bare block loop.
-    const bool bare = unit.fast_path != FastPath::kNone && unit.invariant.empty() &&
-                      unit.post.empty() && unit.aggs[0].materialized;
     LaunchBlocks(launch, [&](int64_t block_id, int worker) {
-      float* scratch = scratch_base + worker * scratch_stride;
       const int64_t first = geometry.FirstItemOfBlock(block_id);
       const int64_t last = std::min<int64_t>(first + geometry.groups_per_block, num_vertices);
-      if (bare) {
-        RunBareFastBlock(unit, csr, scratch, first, last,
-                         edge_slots != nullptr ? &edge_slots[worker].edges : nullptr);
-        return;
+      if (edge_slots != nullptr && unit.needs_edge_loop) {
+        edge_slots[worker].edges +=
+            csr.offsets[static_cast<size_t>(last)] - csr.offsets[static_cast<size_t>(first)];
       }
-      for (int64_t k = first; k < last; ++k) {
-        const int64_t key = unit.needs_edge_loop || !csr.position_vertex.empty()
-                                ? csr.position_vertex[static_cast<size_t>(k)]
-                                : k;
-        // 1. Loop-invariant key-side ops.
-        RunKeyInstrs(unit.invariant, scratch, key, typed_stride);
-        const int64_t begin = unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k)] : 0;
-        const int64_t end = unit.needs_edge_loop ? csr.offsets[static_cast<size_t>(k) + 1] : 0;
-        if (edge_slots != nullptr) {
-          edge_slots[worker].edges += end - begin;
-        }
-        // 2-4. Aggregation init, edge-sequential loop and output (Alg. 1
-        // lines 7-16): fused fast path when the unit's shape allows,
-        // interpreted otherwise.
-        if (unit.fast_path != FastPath::kNone) {
-          RunFastVertex(unit, csr, scratch, key, begin, end);
-        } else {
-          RunInterpretedVertex(unit, csr, scratch, key, begin, end, typed_stride);
-        }
-        // 5. Post-aggregation vertex ops (Alg. 1 line 17).
-        RunKeyInstrs(unit.post, scratch, key, typed_stride);
-      }
+      RunBlock(unit, csr, layout, scratch_base + worker * layout.stride, node_base.data(),
+               num_vertices, first, last);
     });
 
     if (ProfileEvent* event = unit_span.event()) {
@@ -575,9 +401,7 @@ RunResult SeastarExecutor::Run(const GirGraph& gir, const Graph& graph,
       event->dispatches = launch_stats.dispatches;
       event->schedule = BlockScheduleName(options_.schedule);
       event->kernel_launches = 1;
-      if (unit.fast_path != FastPath::kNone) {
-        event->simd_isa = simd::SimdIsaName();
-      }
+      event->simd_isa = simd::SimdIsaName();
       for (int32_t id : fused.nodes) {
         if (!plan.materialized[static_cast<size_t>(id)]) {
           continue;

@@ -1,18 +1,17 @@
 // The Seastar execution engine: runs a GIR as a sequence of fused execution
 // units (paper §5.3, §6.3, Algorithm 1).
 //
-// Each fused unit is compiled to a small register program and executed with
-// the exact loop structure of the paper's CUDA template:
+// Each fused unit is compiled to a flat list of row-kernel steps
+// (compiled_program.h) and executed with the loop structure of the paper's
+// CUDA template, each step running over many rows per call:
 //
-//   for each FAT group (one key vertex, dispatched per §6.3.3):      | grid
-//     evaluate loop-invariant (key-side) ops into registers          |
-//     initialize aggregation accumulators                            |
-//     for each incident edge slot (sequentially, §6.3.2):            | Alg. 1
-//       resolve nbr/edge ids from the CSR                            |
-//       evaluate edge-stage ops into registers                       |
-//       accumulate aggregations in registers                         |
-//     finalize aggregations; evaluate post-stage vertex ops          |
-//     write materialized rows                                        |
+//   for each block of FAT groups (key vertices, dispatched per §6.3.3):
+//     key-side steps: loop-invariant ops into key registers
+//     initialize aggregation accumulators
+//     for each chunk of the block's edge slots (in CSR order, §6.3.2):
+//       edge steps: per-edge ops into edge registers
+//       aggregation steps: accumulate each vertex's slots in order
+//     finalize aggregations; post-stage steps; write materialized rows
 //
 // Vertex-parallel edge-sequential execution gives the locality-centric
 // behaviour of §6.3.2 (destination rows loaded once, aggregation in

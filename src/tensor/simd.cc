@@ -15,18 +15,6 @@ namespace {
 // variants below is the SEASTAR_NATIVE_ARCH=OFF binary, where the baseline is
 // SSE2 and the 8-wide FMA forms are only reachable via runtime dispatch.
 
-void AddRowScalar(float* __restrict__ acc, const float* __restrict__ x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    acc[i] += x[i];
-  }
-}
-
-void AddScalarRowScalar(float* __restrict__ acc, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    acc[i] += s;
-  }
-}
-
 void AxpyRowScalar(float* __restrict__ acc, const float* __restrict__ x, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     acc[i] += x[i] * s;
@@ -88,29 +76,6 @@ void GemmTile1x16Scalar(const float* __restrict__ pa, const float* __restrict__ 
 // independent of how the caller slices n into tiles. Tails run the scalar
 // body — same contraction (fmaf lowers to vfmadd
 // when the target has it, which these functions always do).
-
-__attribute__((target("avx2,fma"))) void AddRowAvx2(float* __restrict__ acc,
-                                                    const float* __restrict__ x, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) {
-    acc[i] += x[i];
-  }
-}
-
-__attribute__((target("avx2,fma"))) void AddScalarRowAvx2(float* __restrict__ acc, float s,
-                                                          int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), vs));
-  }
-  for (; i < n; ++i) {
-    acc[i] += s;
-  }
-}
 
 __attribute__((target("avx2,fma"))) void AxpyRowAvx2(float* __restrict__ acc,
                                                      const float* __restrict__ x, float s,
@@ -221,8 +186,6 @@ bool CpuHasAvx2Fma() {
 const char* ResolveDispatch() {
 #if defined(SEASTAR_SIMD_X86)
   if (CpuHasAvx2Fma()) {
-    AddRow = AddRowAvx2;
-    AddScalarRow = AddScalarRowAvx2;
     AxpyRow = AxpyRowAvx2;
     MulAddRow = MulAddRowAvx2;
     ScaleRow = ScaleRowAvx2;
@@ -241,8 +204,6 @@ const char* const g_isa = ResolveDispatch();
 
 }  // namespace
 
-void (*AddRow)(float*, const float*, int64_t) = AddRowScalar;
-void (*AddScalarRow)(float*, float, int64_t) = AddScalarRowScalar;
 void (*AxpyRow)(float*, const float*, float, int64_t) = AxpyRowScalar;
 void (*MulAddRow)(float*, const float*, const float*, int64_t) = MulAddRowScalar;
 void (*ScaleRow)(float*, float, int64_t) = ScaleRowScalar;

@@ -1,9 +1,8 @@
-// Shared SIMD row kernels for the aggregation fast paths and the dense ops.
+// Shared SIMD row kernels for the fused multiply-sum and the dense ops.
 //
-// These are the 8/16-wide inner loops behind kCopySum / kMulSum (see
-// src/exec/seastar_executor.cc) and the gather/scatter row accumulations the
-// baseline executors are built on. They exist as out-of-line, runtime-
-// dispatched functions for two reasons:
+// These are the 8/16-wide inner loops of the fused units' multiply-sum
+// aggregation (see src/exec/row_kernels.cc) and of the dense GEMM. They
+// exist as out-of-line, runtime-dispatched functions for two reasons:
 //
 //  * Bit-reproducibility across call sites. Every kernel here is
 //    elementwise-independent across columns (one fma / add per column, no
@@ -35,13 +34,9 @@ namespace simd {
 // Name of the dispatched implementation: "avx2" or "scalar".
 const char* SimdIsaName();
 
-// acc[i] += x[i]                       (CopySum body)
-extern void (*AddRow)(float* acc, const float* x, int64_t n);
-// acc[i] += s                          (CopySum, width-1 -> w broadcast)
-extern void (*AddScalarRow)(float* acc, float s, int64_t n);
-// acc[i] += x[i] * s                   (MulSum, one side width-1)
+// acc[i] += x[i] * s                   (multiply-sum, one side width-1)
 extern void (*AxpyRow)(float* acc, const float* x, float s, int64_t n);
-// acc[i] += x[i] * y[i]                (MulSum, both sides width-w)
+// acc[i] += x[i] * y[i]                (multiply-sum, both sides width-w)
 extern void (*MulAddRow)(float* acc, const float* x, const float* y, int64_t n);
 // x[i] *= s                            (AggMean finalization)
 extern void (*ScaleRow)(float* x, float s, int64_t n);

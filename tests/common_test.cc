@@ -139,6 +139,21 @@ TEST(StringUtilTest, FlagParsing) {
   EXPECT_EQ(FlagValue(5, argv, "missing", "dflt"), "dflt");
 }
 
+TEST(StringUtilTest, CheckKnownFlagsNamesTheUnknownArgument) {
+  const std::vector<std::string> known = {"epochs", "executor", "resume"};
+  const char* good_c[] = {"prog", "--epochs=5", "--resume", "--executor=pyg"};
+  EXPECT_TRUE(CheckKnownFlags(4, const_cast<char**>(good_c), known).ok());
+  EXPECT_TRUE(CheckKnownFlags(1, const_cast<char**>(good_c), known).ok());
+
+  for (const char* bad : {"--epoch=5", "--backend=dgl", "-epochs=5", "epochs", "--", "--=5"}) {
+    SCOPED_TRACE(bad);
+    const char* argv_c[] = {"prog", "--epochs=5", bad};
+    const Status status = CheckKnownFlags(3, const_cast<char**>(argv_c), known);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(bad), std::string::npos) << status.message();
+  }
+}
+
 TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("--scale=1", "--scale"));
   EXPECT_FALSE(StartsWith("-s", "--scale"));

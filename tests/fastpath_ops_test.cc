@@ -1,9 +1,9 @@
 // Tests for the specialized hot-path kernels added for steady-state training:
-// the compile-time FastPath classification of fused edge loops, the
-// register-blocked GEMM kernels, the batched dropout mask, and the
-// scalar-broadcast elementwise forms. Every fast form is checked against an
-// independent reference (baseline executors, naive triple loops, the
-// per-element RNG path).
+// the compile-time lowering of sum-style aggregations (copy-sum, and the
+// multiply folded into the sum), the register-blocked GEMM kernels, the
+// batched dropout mask, and the scalar-broadcast elementwise forms. Every
+// fast form is checked against an independent reference (baseline
+// executors, naive triple loops, the per-element RNG path).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -37,20 +37,34 @@ FeatureMap RandomVertexFeatures(const Graph& g, std::vector<std::pair<std::strin
   return features;
 }
 
-FastPath ClassifiedFastPath(const GirGraph& gir) {
+// How the program's sum-like aggregation lowered: a sum/mean pulling rows
+// straight from a tensor (copy-sum), a multiply folded into the sum
+// (multiply-sum), or neither.
+enum class SumShape { kNone, kCopySum, kMulSum };
+
+SumShape ClassifiedSumShape(const GirGraph& gir) {
   auto program = CompileProgram(gir, FusionOptions{});
-  FastPath path = FastPath::kNone;
+  SumShape shape = SumShape::kNone;
   for (const CompiledUnit& unit : program->units) {
-    if (unit.fast_path != FastPath::kNone) {
-      EXPECT_EQ(path, FastPath::kNone) << "more than one specialized unit";
-      path = unit.fast_path;
+    for (const AggStep& agg : unit.aggs) {
+      const bool sum_like = agg.kind == OpKind::kAggSum || agg.kind == OpKind::kAggMean;
+      SumShape found = SumShape::kNone;
+      if (sum_like && agg.fused_mul) {
+        found = SumShape::kMulSum;
+      } else if (sum_like && unit.edge_steps.empty() && agg.a.home == Home::kNode) {
+        found = SumShape::kCopySum;
+      }
+      if (found != SumShape::kNone) {
+        EXPECT_EQ(shape, SumShape::kNone) << "more than one specialized aggregation";
+        shape = found;
+      }
     }
   }
-  return path;
+  return shape;
 }
 
-// Checks the specialized seastar loop against the independent baseline
-// implementations (which never take fast paths).
+// Checks the seastar units against the independent baseline implementations
+// (which run every op as its own whole-graph pass).
 void ExpectMatchesBaselines(const GirGraph& gir, const Graph& graph, const FeatureMap& features,
                             float tol = 1e-4f) {
   SeastarExecutor seastar;
@@ -77,43 +91,43 @@ void ExpectMatchesBaselines(const GirGraph& gir, const Graph& graph, const Featu
   }
 }
 
-// ---- FastPath classification ------------------------------------------------
+// ---- Sum-shape classification ------------------------------------------------
 
 TEST(FastPathTest, PlainAggSumClassifiesAsCopySum) {
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8)), "out");
-  EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kCopySum);
+  EXPECT_EQ(ClassifiedSumShape(b.graph()), SumShape::kCopySum);
 }
 
 TEST(FastPathTest, WeightedAggSumClassifiesAsMulSum) {
   // GCN's aggregation shape: per-edge product feeding a sum.
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8) * b.Src("norm", 1)), "out");
-  EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kMulSum);
+  EXPECT_EQ(ClassifiedSumShape(b.graph()), SumShape::kMulSum);
 }
 
 TEST(FastPathTest, AggMeanAlsoSpecializes) {
   // Mean lowers to sum plus a post-division, so the edge loop is identical.
   GirBuilder b;
   b.MarkOutput(AggMean(b.Src("h", 4)), "out");
-  EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kCopySum);
+  EXPECT_EQ(ClassifiedSumShape(b.graph()), SumShape::kCopySum);
 }
 
 TEST(FastPathTest, MaxAndMultiOpUnitsStayInterpreted) {
   {
     GirBuilder b;
     b.MarkOutput(AggMax(b.Src("h", 4)), "out");
-    EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kNone);
+    EXPECT_EQ(ClassifiedSumShape(b.graph()), SumShape::kNone);
   }
   {
     // Two chained edge ops: the single-Mul shape does not apply.
     GirBuilder b;
     b.MarkOutput(AggSum(Exp(b.Src("h", 4) * b.Src("w", 1))), "out");
-    EXPECT_EQ(ClassifiedFastPath(b.graph()), FastPath::kNone);
+    EXPECT_EQ(ClassifiedSumShape(b.graph()), SumShape::kNone);
   }
 }
 
-// ---- FastPath correctness ---------------------------------------------------
+// ---- Sum-shape correctness ---------------------------------------------------
 
 TEST(FastPathTest, CopySumMatchesBaselinesOnRandomGraphs) {
   for (bool skewed : {false, true}) {
@@ -145,8 +159,8 @@ TEST(FastPathTest, MulSumMatchesBaselinesAcrossOperandWidths) {
 }
 
 TEST(FastPathTest, MulSumWithFixedDstOperandMatchesBaselines) {
-  // v.deg-style operand: constant across the key vertex's edge loop, so the
-  // fast path resolves it once outside the loop.
+  // v.deg-style operand: constant across the key vertex's edges, read per
+  // slot through the slot's key.
   Graph g = RandomGraph(160, 1100, 61);
   GirBuilder b;
   b.MarkOutput(AggSum(b.Src("h", 8) * b.Dst("scale", 1)), "out");

@@ -16,6 +16,7 @@
 #include "src/graph/generators.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd.h"
 
 namespace seastar {
 namespace {
@@ -155,6 +156,32 @@ TEST(ProfilerTest, SeastarUnitSpanCountsEveryEdgeOnce) {
     EXPECT_EQ(unit->schedule, BlockScheduleName(schedule));
     EXPECT_GT(unit->num_blocks, 0);
   }
+}
+
+TEST(ProfilerTest, EveryUnitSpanNamesTheRowKernelIsa) {
+  // GAT's attention: an interpreted-shape unit (Add+LeakyRelu+Exp+AggSum)
+  // and a Div+Mul+AggSum unit. Every unit runs the dispatched row kernels,
+  // so every span carries the ISA, not only the multiply-sum shapes.
+  const Graph g = RandomGraph(80, 400, 0x15a);
+  GirBuilder b;
+  const Value e = Exp(LeakyRelu(b.Src("eu", 1) + b.Dst("ev", 1), 0.2f));
+  b.MarkOutput(AggSum(e / AggSum(e) * b.Src("h", 4)), "out");
+  FeatureMap features = VertexFeature(g, "h", 4, 0x15b);
+  features.vertex["eu"] = VertexFeature(g, "eu", 1, 0x15c).vertex.at("eu");
+  features.vertex["ev"] = VertexFeature(g, "ev", 1, 0x15d).vertex.at("ev");
+
+  Profiler profiler;
+  RunContext ctx;
+  ctx.profiler = &profiler;
+  SeastarExecutor().Run(b.graph(), g, features, ctx);
+  int units = 0;
+  for (const ProfileEvent& event : profiler.events()) {
+    if (event.category == "unit") {
+      EXPECT_EQ(event.simd_isa, simd::SimdIsaName()) << event.name;
+      ++units;
+    }
+  }
+  EXPECT_EQ(units, 2);
 }
 
 TEST(ProfilerTest, DispatchCountsMatchScheduleMode) {
