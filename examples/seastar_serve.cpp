@@ -483,7 +483,8 @@ int Run(int argc, char** argv) {
               static_cast<long long>(stats.breaker_trips),
               static_cast<long long>(stats.breaker_probes),
               static_cast<long long>(stats.breaker_recoveries),
-              serve::BreakerStateName(server.breaker_state()));
+              serve::BreakerStateName(
+                  server.tenant_breaker_state(server.tenant_names().front()).value()));
   std::printf("latency over %lld answers: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, max %.2f ms\n",
               static_cast<long long>(latency.count), latency.p50_ms, latency.p95_ms,
               latency.p99_ms, latency.max_ms);

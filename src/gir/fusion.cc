@@ -50,12 +50,46 @@ int Transition(int state, const Category& c) {
   }
 }
 
+// What a unit's node types decide: whether it loops over edges, and which
+// vertex type is its key side. The other vertex type is its neighbour side,
+// computed per edge and so present only on rows with an edge.
+struct UnitShape {
+  bool has_agg = false;
+  GraphType orientation = GraphType::kDst;  // Fixed by the first aggregation.
+  bool has_edge = false;
+  bool has_s = false;
+  bool has_d = false;
+  bool s_output = false;  // Holds an S-typed program output.
+  bool d_output = false;
+
+  void Add(const Node& node, bool is_output) {
+    if (IsAggregation(node.kind)) {
+      has_agg = true;
+      orientation = node.type == GraphType::kSrc ? GraphType::kSrc : GraphType::kDst;
+    }
+    has_edge = has_edge || node.type == GraphType::kEdge;
+    has_s = has_s || node.type == GraphType::kSrc;
+    has_d = has_d || node.type == GraphType::kDst;
+    s_output = s_output || (is_output && node.type == GraphType::kSrc);
+    d_output = d_output || (is_output && node.type == GraphType::kDst);
+  }
+
+  // An aggregation or an E-typed node needs the edges; so do S and D values
+  // mixed without one.
+  bool edge_loop() const { return has_agg || has_edge || (has_s && has_d); }
+
+  // True when a program output, which is read on every row, would be on the
+  // neighbour side of the unit's edge loop.
+  bool StrandsAnOutput() const {
+    return edge_loop() && ((s_output && orientation != GraphType::kSrc) ||
+                           (d_output && orientation != GraphType::kDst));
+  }
+};
+
 // Incremental unit bookkeeping during the greedy topological sweep.
 struct UnitState {
   std::vector<int32_t> nodes;
-  bool has_agg = false;
-  GraphType orientation = GraphType::kDst;
-  bool orientation_fixed = false;
+  UnitShape shape;
 };
 
 }  // namespace
@@ -126,9 +160,14 @@ ExecutionPlan BuildExecutionPlan(const GirGraph& graph, const FusionOptions& opt
         const int t = Transition(parent_state, cat);
         bool legal = t >= 0;
         UnitState& candidate = units[static_cast<size_t>(parent_unit)];
-        if (legal && cat.is_agg && candidate.orientation_fixed &&
-            candidate.orientation != cat.type) {
+        if (legal && cat.is_agg && candidate.shape.has_agg &&
+            candidate.shape.orientation != cat.type) {
           legal = false;  // Mixed aggregation orientations cannot share a kernel.
+        }
+        if (legal) {
+          UnitShape joined = candidate.shape;
+          joined.Add(node, graph.IsOutput(id));
+          legal = !joined.StrandsAnOutput();
         }
         if (legal && t == 1) {
           // A pre-stage (edge-loop) op cannot consume an aggregation/post
@@ -173,11 +212,7 @@ ExecutionPlan BuildExecutionPlan(const GirGraph& graph, const FusionOptions& opt
     }
     UnitState& unit = units[static_cast<size_t>(chosen_unit)];
     unit.nodes.push_back(id);
-    if (cat.is_agg) {
-      unit.has_agg = true;
-      unit.orientation = cat.type == GraphType::kSrc ? GraphType::kSrc : GraphType::kDst;
-      unit.orientation_fixed = true;
-    }
+    unit.shape.Add(node, graph.IsOutput(id));
     plan.unit_of[static_cast<size_t>(id)] = chosen_unit;
     plan.fsm_state[static_cast<size_t>(id)] = chosen_state;
     plan.stage[static_cast<size_t>(id)] = cat.is_agg
@@ -260,28 +295,10 @@ ExecutionPlan BuildExecutionPlan(const GirGraph& graph, const FusionOptions& opt
     UnitState& state = units[old_index];
     FusedUnit& unit = plan.units[static_cast<size_t>(unit_remap[old_index])];
     unit.nodes = std::move(state.nodes);
-    unit.orientation = state.orientation;
-    unit.has_aggregation = state.has_agg;
-    for (int32_t id : unit.nodes) {
-      const Node& node = graph.node(id);
-      if (state.has_agg || node.type == GraphType::kEdge) {
-        unit.needs_edge_loop = true;
-      }
-      // An S- or D-typed pre-stage op alone does not need edges, but if the
-      // unit mixes S and D values it can only be evaluated edge-wise.
-    }
-    // Mixed S/D vertex values without aggregation => per-edge evaluation.
-    bool has_s = false;
-    bool has_d = false;
-    for (int32_t id : unit.nodes) {
-      const GraphType t = graph.node(id).type;
-      has_s = has_s || t == GraphType::kSrc;
-      has_d = has_d || t == GraphType::kDst;
-    }
-    if (has_s && has_d) {
-      unit.needs_edge_loop = true;
-    }
-    if (!unit.has_aggregation && !unit.needs_edge_loop && has_s) {
+    unit.orientation = state.shape.orientation;
+    unit.has_aggregation = state.shape.has_agg;
+    unit.needs_edge_loop = state.shape.edge_loop();
+    if (!unit.has_aggregation && !unit.needs_edge_loop && state.shape.has_s) {
       // Purely source-wise unit: iterate vertices as sources.
       unit.orientation = GraphType::kSrc;
     }

@@ -39,7 +39,7 @@ void AdmissionQueue::ConfigureTenant(uint32_t index, double weight, int max_queu
   tenants_[index].max_queued = max_queued;
 }
 
-AdmitResult AdmissionQueue::TryPush(std::unique_ptr<PendingRequest> request) {
+AdmitResult AdmissionQueue::TryPush(std::unique_ptr<PendingRequest>&& request) {
   SEASTAR_CHECK(request != nullptr);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -52,11 +52,9 @@ AdmitResult AdmissionQueue::TryPush(std::unique_ptr<PendingRequest> request) {
     // Quota before capacity: when a bursting tenant exceeds both, the shed
     // is attributed to its own cap, not the shared resource.
     if (sub.max_queued > 0 && static_cast<int>(sub.queue.size()) >= sub.max_queued) {
-      ++sub.quota_shed;
       return AdmitResult::kShedQuota;
     }
     if (total_size_ >= capacity_) {
-      ++shed_count_;
       return AdmitResult::kShedCapacity;
     }
     if (sub.queue.empty()) {
@@ -152,16 +150,6 @@ int AdmissionQueue::size(uint32_t tenant_index) const {
   return static_cast<int>(tenants_[tenant_index].queue.size());
 }
 
-int AdmissionQueue::num_tenants() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(tenants_.size());
-}
-
-int64_t AdmissionQueue::shed_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shed_count_;
-}
-
 AdmissionQueue::StridePosition AdmissionQueue::stride_position(uint32_t tenant_index) const {
   std::lock_guard<std::mutex> lock(mutex_);
   SEASTAR_CHECK_LT(tenant_index, tenants_.size());
@@ -171,12 +159,6 @@ AdmissionQueue::StridePosition AdmissionQueue::stride_position(uint32_t tenant_i
   position.virtual_time = virtual_time_;
   position.queued = static_cast<int>(sub.queue.size());
   return position;
-}
-
-int64_t AdmissionQueue::quota_shed_count(uint32_t tenant_index) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SEASTAR_CHECK_LT(tenant_index, tenants_.size());
-  return tenants_[tenant_index].quota_shed;
 }
 
 }  // namespace serve

@@ -76,8 +76,9 @@ class AdmissionQueue {
   void ConfigureTenant(uint32_t index, double weight, int max_queued);
 
   // Admits `request` (routing by request->tenant_index) or sheds/rejects it
-  // without blocking.
-  AdmitResult TryPush(std::unique_ptr<PendingRequest> request);
+  // without blocking. Takes ownership only on kAdmitted; a shed or rejected
+  // request stays with the caller, who answers it.
+  AdmitResult TryPush(std::unique_ptr<PendingRequest>&& request);
 
   // Pops the next batch leader under weighted-fair scheduling, blocking
   // until a request is available or `until` passes (or the queue closes).
@@ -99,12 +100,6 @@ class AdmissionQueue {
   int size() const;
   int size(uint32_t tenant_index) const;
   int capacity() const { return capacity_; }
-  int num_tenants() const;
-
-  // Requests rejected at the door because the shared queue was full.
-  int64_t shed_count() const;
-  // Requests rejected at the door by `tenant_index`'s own quota.
-  int64_t quota_shed_count(uint32_t tenant_index) const;
 
   // The stride scheduler's view of one tenant at this instant, read under a
   // single lock acquisition so the pair is consistent: the tenant's pass and
@@ -128,14 +123,12 @@ class AdmissionQueue {
         : queue(std::move(other.queue)),
           weight(other.weight),
           max_queued(other.max_queued),
-          pass(other.pass),
-          quota_shed(other.quota_shed) {}
+          pass(other.pass) {}
     SubQueue& operator=(SubQueue&& other) noexcept {
       queue = std::move(other.queue);
       weight = other.weight;
       max_queued = other.max_queued;
       pass = other.pass;
-      quota_shed = other.quota_shed;
       return *this;
     }
 
@@ -143,7 +136,6 @@ class AdmissionQueue {
     double weight = 1.0;
     int max_queued = 0;  // 0 = no per-tenant cap.
     double pass = 0.0;   // Stride-scheduling virtual time; lowest goes next.
-    int64_t quota_shed = 0;
   };
 
   // Index of the non-empty subqueue with the lowest pass, or -1. Caller
@@ -160,7 +152,6 @@ class AdmissionQueue {
   // time actually contended.
   double virtual_time_ = 0.0;
   bool closed_ = false;
-  int64_t shed_count_ = 0;
 };
 
 }  // namespace serve

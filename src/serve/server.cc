@@ -22,19 +22,34 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Per Server::Outcome, in its order: the counter's name (the registry's
+// seastar_serve_<name>_total, its per-tenant series, and the outcome a trace
+// ends with), the anomaly flag a request ending this way carries, and the
+// counters the ending moves (bit i: Outcome i). Every ending but a rejection
+// also counts as submitted; a quota shed is also a shed.
+struct OutcomeInfo {
+  const char* name;
+  uint32_t trace_flag;
+  uint32_t moves;
+};
+constexpr OutcomeInfo kOutcomes[] = {
+    {"submitted", 0, 0},  // Not an ending.
+    {"rejected", 0, 1u << 1},
+    {"shed", trace::kShed, 1u << 0 | 1u << 2},
+    {"quota_shed", trace::kShed, 1u << 0 | 1u << 2 | 1u << 3},
+    {"served", 0, 1u << 0 | 1u << 4},
+    {"degraded", trace::kDegraded, 1u << 0 | 1u << 5},
+    {"expired", trace::kExpired, 1u << 0 | 1u << 6},
+    {"failed", trace::kFailed, 1u << 0 | 1u << 7},
+};
+constexpr int kNumOutcomes = static_cast<int>(std::size(kOutcomes));
+
 // Registry handles for the serving path, resolved once per process and
 // cached (the static-init guard is the only per-call cost). Request-rate
 // code touches these through one relaxed add / store each; the registry is
 // never consulted per request — tests assert lookups() stays flat.
 struct ServeMetrics {
-  metrics::Counter* submitted;
-  metrics::Counter* rejected;
-  metrics::Counter* shed;
-  metrics::Counter* quota_shed;
-  metrics::Counter* served;
-  metrics::Counter* degraded;
-  metrics::Counter* expired;
-  metrics::Counter* failed;
+  metrics::Counter* outcomes[kNumOutcomes];  // Indexed by Server::Outcome.
   metrics::Counter* retries;
   metrics::Counter* batches;
   metrics::Counter* unit_aborts;
@@ -53,14 +68,9 @@ const ServeMetrics& GetServeMetrics() {
   static const ServeMetrics metrics = [] {
     metrics::MetricsRegistry& r = metrics::MetricsRegistry::Get();
     ServeMetrics m;
-    m.submitted = r.GetCounter("seastar_serve_submitted_total");
-    m.rejected = r.GetCounter("seastar_serve_rejected_total");
-    m.shed = r.GetCounter("seastar_serve_shed_total");
-    m.quota_shed = r.GetCounter("seastar_serve_quota_shed_total");
-    m.served = r.GetCounter("seastar_serve_served_total");
-    m.degraded = r.GetCounter("seastar_serve_degraded_total");
-    m.expired = r.GetCounter("seastar_serve_expired_total");
-    m.failed = r.GetCounter("seastar_serve_failed_total");
+    for (int i = 0; i < kNumOutcomes; ++i) {
+      m.outcomes[i] = r.GetCounter(std::string("seastar_serve_") + kOutcomes[i].name + "_total");
+    }
     m.retries = r.GetCounter("seastar_serve_retries_total");
     m.batches = r.GetCounter("seastar_serve_batches_total");
     m.unit_aborts = r.GetCounter("seastar_serve_deadline_unit_aborts_total");
@@ -147,6 +157,7 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, ServeConfig config)
       queue_(config_.queue_capacity),
       batcher_(queue_, BatcherOptions{config_.max_batch, config_.max_batch_delay_ms,
                                       /*idle_poll_ms=*/5.0}) {
+  static_assert(kNumOutcomes == static_cast<int>(std::size(kOutcomes)));
   if (config_.tracing.enabled) {
     tracer_ = std::make_unique<trace::Tracer>(config_.tracing);
   }
@@ -162,14 +173,10 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, ServeConfig config)
     tenant->config = tc;
     tenant->breaker = std::make_unique<CircuitBreaker>(config_.breaker_trip_after,
                                                        config_.breaker_probe_interval_ms);
-    tenant->m_submitted = registry_metrics.GetCounter(TenantMetricName("submitted", tc.name));
-    tenant->m_rejected = registry_metrics.GetCounter(TenantMetricName("rejected", tc.name));
-    tenant->m_shed = registry_metrics.GetCounter(TenantMetricName("shed", tc.name));
-    tenant->m_quota_shed = registry_metrics.GetCounter(TenantMetricName("quota_shed", tc.name));
-    tenant->m_served = registry_metrics.GetCounter(TenantMetricName("served", tc.name));
-    tenant->m_degraded = registry_metrics.GetCounter(TenantMetricName("degraded", tc.name));
-    tenant->m_expired = registry_metrics.GetCounter(TenantMetricName("expired", tc.name));
-    tenant->m_failed = registry_metrics.GetCounter(TenantMetricName("failed", tc.name));
+    for (int outcome = 0; outcome < kNumOutcomes; ++outcome) {
+      tenant->counters[outcome] =
+          registry_metrics.GetCounter(TenantMetricName(kOutcomes[outcome].name, tc.name));
+    }
     const bool inserted =
         tenant_index_.emplace(tc.name, static_cast<uint32_t>(i)).second;
     SEASTAR_CHECK(inserted) << "duplicate tenant name '" << tc.name << "'";
@@ -194,8 +201,7 @@ Status Server::RestoreFromCheckpoint(const ModelEntry& entry) {
       break;
     }
     if (attempt < config_.boot_retries) {
-      UpdateStats([](ServerStats& s) { ++s.boot_retries; });
-      GetServeMetrics().boot_retries->Add(1);
+      Count(&ServerStats::boot_retries, GetServeMetrics().boot_retries);
       const double backoff_ms = config_.retry_base_backoff_ms * static_cast<double>(1 << attempt);
       SEASTAR_LOG(Warning) << "serve boot: transient checkpoint read failure ("
                            << loaded.status().message() << "); retrying in " << backoff_ms
@@ -258,8 +264,7 @@ Status Server::Start() {
         Deadline no_deadline;  // Unarmed: warmup may take as long as it takes.
         int retries_paid = 0;
         AttemptResult warm = ExecuteWithRetries(*entry, no_deadline, &retries_paid);
-        UpdateStats([retries_paid](ServerStats& s) { s.retries += retries_paid; });
-        GetServeMetrics().retries->Add(retries_paid);
+        Count(&ServerStats::retries, GetServeMetrics().retries, retries_paid);
         if (!warm.status.ok()) {
           // Not fatal: the breaker/retry machinery will keep trying per batch.
           SEASTAR_LOG(Warning) << "serve boot: warmup forward of '" << entry->model_id()
@@ -314,70 +319,46 @@ Server::Tenant* Server::FindTenant(const std::string& name) const {
 }
 
 std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request) {
-  const ServeMetrics& metrics = GetServeMetrics();
-  std::promise<StatusOr<InferenceResponse>> rejected;
-  std::future<StatusOr<InferenceResponse>> rejected_future = rejected.get_future();
-
+  auto pending = std::make_unique<PendingRequest>();
+  std::future<StatusOr<InferenceResponse>> future = pending->promise.get_future();
+  const auto reject = [&](Tenant* tenant, Status status) {
+    Settle(tenant, *pending, Outcome::kRejected, std::move(status));
+    return std::move(future);
+  };
   if (!started_.load(std::memory_order_acquire)) {
-    rejected.set_value(ErrorStatus(StatusCode::kUnavailable) << "server not started");
-    return rejected_future;
+    return reject(nullptr, ErrorStatus(StatusCode::kUnavailable) << "server not started");
   }
-  Tenant* tenant = nullptr;
-  if (request.tenant.empty()) {
-    tenant = tenants_[0].get();
-  } else {
-    tenant = FindTenant(request.tenant);
-    if (tenant == nullptr) {
-      // No tenant to attribute this to — it only counts globally.
-      UpdateStats([](ServerStats& s) { ++s.rejected; });
-      metrics.rejected->Add(1);
-      rejected.set_value(ErrorStatus(StatusCode::kInvalidArgument)
-                         << "unknown tenant '" << request.tenant << "'");
-      return rejected_future;
-    }
+  Tenant* tenant = request.tenant.empty() ? tenants_[0].get() : FindTenant(request.tenant);
+  if (tenant == nullptr) {
+    return reject(nullptr, ErrorStatus(StatusCode::kInvalidArgument)
+                               << "unknown tenant '" << request.tenant << "'");
   }
   std::shared_ptr<const ModelEntry> entry = registry_->Lookup(tenant->config.model_id);
   if (entry == nullptr) {
-    UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-      ++g.rejected;
-      ++t.rejected;
-    });
-    metrics.rejected->Add(1);
-    tenant->m_rejected->Add(1);
-    rejected.set_value(ErrorStatus(StatusCode::kUnavailable)
-                       << "model id '" << tenant->config.model_id << "' is not registered");
-    return rejected_future;
+    return reject(tenant, ErrorStatus(StatusCode::kUnavailable)
+                              << "model id '" << tenant->config.model_id
+                              << "' is not registered");
   }
-  const auto reject_invalid = [&](Status status) {
-    UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-      ++g.rejected;
-      ++t.rejected;
-    });
-    metrics.rejected->Add(1);
-    tenant->m_rejected->Add(1);
-    rejected.set_value(std::move(status));
-    return std::move(rejected_future);
-  };
   if (request.vertices.empty()) {
-    return reject_invalid(ErrorStatus(StatusCode::kInvalidArgument)
-                          << "request names no vertices");
+    return reject(tenant, ErrorStatus(StatusCode::kInvalidArgument)
+                              << "request names no vertices");
   }
   const int64_t num_vertices = entry->data().graph.num_vertices();
   for (int32_t v : request.vertices) {
     if (v < 0 || v >= num_vertices) {
-      return reject_invalid(ErrorStatus(StatusCode::kInvalidArgument)
-                            << "vertex " << v << " out of range [0, " << num_vertices << ")");
+      return reject(tenant, ErrorStatus(StatusCode::kInvalidArgument)
+                                << "vertex " << v << " out of range [0, " << num_vertices
+                                << ")");
     }
   }
   if (request.model_fingerprint != 0 && request.model_fingerprint != entry->fingerprint()) {
-    return reject_invalid(ErrorStatus(StatusCode::kInvalidArgument)
-                          << "request pins model fingerprint " << request.model_fingerprint
-                          << " but tenant '" << tenant->config.name << "' runs "
-                          << entry->fingerprint() << " ('" << entry->model_id() << "' v"
-                          << entry->version() << ")");
+    return reject(tenant, ErrorStatus(StatusCode::kInvalidArgument)
+                              << "request pins model fingerprint " << request.model_fingerprint
+                              << " but tenant '" << tenant->config.name << "' runs "
+                              << entry->fingerprint() << " ('" << entry->model_id() << "' v"
+                              << entry->version() << ")");
   }
 
-  auto pending = std::make_unique<PendingRequest>();
   const double deadline_ms =
       request.deadline_ms == 0.0 ? config_.default_deadline_ms : request.deadline_ms;
   if (deadline_ms > 0.0) {
@@ -391,21 +372,15 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
   pending->batch_key = BatchKeyFor(entry->fingerprint(), tenant->index);
   pending->entry = std::move(entry);
   pending->admitted_at = Clock::now();
-  const uint64_t id = pending->id;
-  const Clock::time_point admitted_at = pending->admitted_at;
-  std::future<StatusOr<InferenceResponse>> future = pending->promise.get_future();
 
-  // Trace the request from the admission decision on. Held locally as well as
-  // on the pending request: TryPush consumes the PendingRequest even when it
-  // sheds, so the shed/closed paths finish the trace through this pointer.
-  // The admission span closes *before* the push — once the request is queued
-  // the serving thread may own the trace immediately.
-  trace::RequestTrace* rtrace = nullptr;
+  // Trace the request from the admission decision on. The admission span
+  // closes *before* the push — once the request is queued the serving
+  // thread may own the trace immediately.
   if (tracer_ != nullptr) {
-    rtrace = tracer_->StartTrace(tenant->index, id);
-    rtrace->BeginSpanAt("request", admitted_at);
+    trace::RequestTrace* rtrace = tracer_->StartTrace(tenant->index, pending->id);
+    rtrace->BeginSpanAt("request", pending->admitted_at);
     const AdmissionQueue::StridePosition stride = queue_.stride_position(tenant->index);
-    const int admission = rtrace->AddSpan("admission", admitted_at, Clock::now());
+    const int admission = rtrace->AddSpan("admission", pending->admitted_at, Clock::now());
     rtrace->SetDetail(admission, tenant->config.name);
     // stride_lag > 0: this tenant is behind the dispatch frontier (fair-share
     // debt); queued_ahead: its own backlog at admission. Together they say
@@ -416,77 +391,32 @@ std::future<StatusOr<InferenceResponse>> Server::Submit(InferenceRequest request
     pending->trace = rtrace;
   }
 
-  const AdmitResult admitted = queue_.TryPush(std::move(pending));
-  switch (admitted) {
+  // TryPush takes the request only when it admits it; otherwise it stays
+  // here to be answered at once, so the client can back off instead of
+  // waiting out its deadline.
+  switch (queue_.TryPush(std::move(pending))) {
     case AdmitResult::kAdmitted:
-      UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-        ++g.submitted;
-        ++t.submitted;
-      });
-      metrics.submitted->Add(1);
-      tenant->m_submitted->Add(1);
-      metrics.queue_depth->Set(static_cast<double>(queue_.size()));
-      return future;
+      GetServeMetrics().queue_depth->Set(static_cast<double>(queue_.size()));
+      break;
     case AdmitResult::kClosed:
       // The request never entered the serving pipeline: a rejection, outside
       // the submitted identity.
-      UpdateStats(*tenant, [](ServerStats& g, TenantStats& t) {
-        ++g.rejected;
-        ++t.rejected;
-      });
-      metrics.rejected->Add(1);
-      tenant->m_rejected->Add(1);
-      if (rtrace != nullptr) {
-        tracer_->FinishTrace(rtrace, MillisBetween(admitted_at, Clock::now()), "closed");
-      }
-      rejected.set_value(ErrorStatus(StatusCode::kUnavailable)
-                         << "admission queue closed (shutting down)");
-      return rejected_future;
+      return reject(tenant, ErrorStatus(StatusCode::kUnavailable)
+                                << "admission queue closed (shutting down)");
     case AdmitResult::kShedCapacity:
-    case AdmitResult::kShedQuota: {
-      // Answer immediately so the client can back off instead of waiting out
-      // its deadline. Sheds are inside the submitted identity — all counters
-      // move under one lock so no reader sees the request half accounted.
-      const bool quota = admitted == AdmitResult::kShedQuota;
-      UpdateStats(*tenant, [quota](ServerStats& g, TenantStats& t) {
-        ++g.submitted;
-        ++t.submitted;
-        ++g.shed;
-        ++t.shed;
-        if (quota) {
-          ++g.quota_shed;
-          ++t.quota_shed;
-        }
-      });
-      metrics.submitted->Add(1);
-      tenant->m_submitted->Add(1);
-      metrics.shed->Add(1);
-      tenant->m_shed->Add(1);
-      if (rtrace != nullptr) {
-        // Sheds are anomalies: retained by the tracer regardless of head
-        // sampling, so overload drills can name every turned-away request.
-        rtrace->AddFlag(trace::kShed);
-        tracer_->FinishTrace(rtrace, MillisBetween(admitted_at, Clock::now()), "shed");
-      }
-      if (quota) {
-        metrics.quota_shed->Add(1);
-        tenant->m_quota_shed->Add(1);
-        FlightRecorder::Get().Record("serve", "request shed (tenant over quota)", id,
-                                     static_cast<int64_t>(tenant->index));
-        rejected.set_value(ErrorStatus(StatusCode::kResourceExhausted)
-                           << "tenant '" << tenant->config.name << "' over admission quota ("
-                           << tenant->config.max_queued << " queued): request shed");
-      } else {
-        FlightRecorder::Get().Record("serve", "request shed (queue full)", id);
-        rejected.set_value(ErrorStatus(StatusCode::kResourceExhausted)
-                           << "admission queue full (capacity " << queue_.capacity()
-                           << "): request shed");
-      }
-      return rejected_future;
-    }
+      Settle(tenant, *pending, Outcome::kShed,
+             ErrorStatus(StatusCode::kResourceExhausted)
+                 << "admission queue full (capacity " << queue_.capacity()
+                 << "): request shed");
+      break;
+    case AdmitResult::kShedQuota:
+      Settle(tenant, *pending, Outcome::kQuotaShed,
+             ErrorStatus(StatusCode::kResourceExhausted)
+                 << "tenant '" << tenant->config.name << "' over admission quota ("
+                 << tenant->config.max_queued << " queued): request shed");
+      break;
   }
-  rejected.set_value(ErrorStatus(StatusCode::kInternal) << "unreachable admission outcome");
-  return rejected_future;
+  return future;
 }
 
 StatusOr<InferenceResponse> Server::Infer(InferenceRequest request) {
@@ -508,8 +438,7 @@ std::future<StatusOr<int64_t>> Server::RequestHotSwap(const std::string& model_i
   StatusOr<std::shared_ptr<const ModelEntry>> staged =
       registry_->PrepareSwap(model_id, checkpoint_path);
   if (!staged.has_value()) {
-    UpdateStats([](ServerStats& s) { ++s.swap_failures; });
-    GetServeMetrics().swap_failures->Add(1);
+    Count(&ServerStats::swap_failures, GetServeMetrics().swap_failures);
     FlightRecorder::Get().Record("swap", "stage failed", 0,
                                  static_cast<int64_t>(staged.status().code()));
     promise.set_value(staged.status());
@@ -554,11 +483,9 @@ void Server::ProcessPendingSwaps() {
     Deadline no_deadline;
     int retries_paid = 0;
     AttemptResult warm = ExecuteWithRetries(*swap.staged, no_deadline, &retries_paid);
-    UpdateStats([retries_paid](ServerStats& s) { s.retries += retries_paid; });
-    GetServeMetrics().retries->Add(retries_paid);
+    Count(&ServerStats::retries, GetServeMetrics().retries, retries_paid);
     if (!warm.status.ok()) {
-      UpdateStats([](ServerStats& s) { ++s.swap_failures; });
-      GetServeMetrics().swap_failures->Add(1);
+      Count(&ServerStats::swap_failures, GetServeMetrics().swap_failures);
       std::snprintf(detail, sizeof(detail), "warm failed %s v%lld", model_id.c_str(),
                     static_cast<long long>(version));
       FlightRecorder::Get().Record("swap", detail, version,
@@ -572,8 +499,7 @@ void Server::ProcessPendingSwaps() {
     StatusOr<std::shared_ptr<const ModelEntry>> replaced =
         registry_->Publish(std::move(swap.staged));
     if (!replaced.has_value()) {
-      UpdateStats([](ServerStats& s) { ++s.swap_failures; });
-      GetServeMetrics().swap_failures->Add(1);
+      Count(&ServerStats::swap_failures, GetServeMetrics().swap_failures);
       swap.promise.set_value(replaced.status());
       continue;
     }
@@ -593,8 +519,7 @@ void Server::ProcessPendingSwaps() {
       tenant->breaker->NoteBackendReplaced();
     }
 
-    UpdateStats([](ServerStats& s) { ++s.swaps; });
-    GetServeMetrics().swaps->Add(1);
+    Count(&ServerStats::swaps, GetServeMetrics().swaps);
     std::snprintf(detail, sizeof(detail), "flip %s v%lld -> v%lld", model_id.c_str(),
                   static_cast<long long>(replaced.value()->version()),
                   static_cast<long long>(version));
@@ -609,8 +534,7 @@ void Server::ProcessPendingSwaps() {
 
 void Server::PollRetirements() {
   for (const RetiredEntry& retired : registry_->PollRetired()) {
-    UpdateStats([](ServerStats& s) { ++s.swap_retired; });
-    GetServeMetrics().swap_retired->Add(1);
+    Count(&ServerStats::swap_retired, GetServeMetrics().swap_retired);
     char detail[88];
     std::snprintf(detail, sizeof(detail), "retire %s v%lld (drained)", retired.model_id.c_str(),
                   static_cast<long long>(retired.version));
@@ -644,8 +568,7 @@ void Server::ServeLoop() {
 Server::AttemptResult Server::RunForwardOnce(const ModelEntry& entry, const Deadline& deadline) {
   AttemptResult result;
   TensorAllocator& allocator = TensorAllocator::Get();
-  UpdateStats([](ServerStats& s) { ++s.batches; });
-  GetServeMetrics().batches->Add(1);
+  Count(&ServerStats::batches, GetServeMetrics().batches);
   try {
     // The executors poll this deadline at unit/op boundaries
     // (CheckExecutionDeadline) and abort expired work mid-forward.
@@ -671,8 +594,7 @@ Server::AttemptResult Server::RunForwardOnce(const ModelEntry& entry, const Dead
     return result;
   } catch (const DeadlineExceeded& e) {
     allocator.ClearInjectedFailure();
-    UpdateStats([](ServerStats& s) { ++s.deadline_unit_aborts; });
-    GetServeMetrics().unit_aborts->Add(1);
+    Count(&ServerStats::deadline_unit_aborts, GetServeMetrics().unit_aborts);
     FlightRecorder::Get().Record("serve", "forward aborted at unit boundary (deadline)");
     result.status = ErrorStatus(StatusCode::kDeadlineExceeded) << e.what();
     result.retryable = false;
@@ -731,7 +653,6 @@ Server::AttemptResult Server::ExecuteWithRetries(const ModelEntry& entry, const 
 void Server::FulfillFromLogits(const Tensor& logits,
                                std::vector<std::unique_ptr<PendingRequest>>& batch,
                                Tenant& tenant, bool degraded, int retries_paid) {
-  const ServeMetrics& metrics = GetServeMetrics();
   const int batch_size = static_cast<int>(batch.size());
   const int64_t num_classes = logits.dim(1);
   for (std::unique_ptr<PendingRequest>& pending : batch) {
@@ -739,20 +660,8 @@ void Server::FulfillFromLogits(const Tensor& logits,
     if (pending->deadline.armed() && pending->deadline.expired()) {
       // The batch made it, this request's budget didn't: its client has
       // already moved on, so the answer would only be discarded.
-      UpdateStats(tenant, [](ServerStats& g, TenantStats& t) {
-        ++g.expired;
-        ++t.expired;
-      });
-      metrics.expired->Add(1);
-      tenant.m_expired->Add(1);
-      FlightRecorder::Get().Record("serve", "request expired before fulfillment", pending->id);
-      if (pending->trace != nullptr) {
-        pending->trace->AddFlag(trace::kExpired);
-        tracer_->FinishTrace(pending->trace, MillisBetween(pending->admitted_at, now), "expired");
-        pending->trace = nullptr;
-      }
-      pending->promise.set_value(ErrorStatus(StatusCode::kDeadlineExceeded)
-                                 << "deadline expired before fulfillment");
+      Settle(&tenant, *pending, Outcome::kExpired,
+             ErrorStatus(StatusCode::kDeadlineExceeded) << "deadline expired before fulfillment");
       continue;
     }
     ProfileScope request_scope(profiler_, degraded ? "request:degraded" : "request", "serve");
@@ -779,56 +688,76 @@ void Server::FulfillFromLogits(const Tensor& logits,
       response.model_version = pending->entry->version();
     }
     response.tenant = tenant.config.name;
-    if (pending->trace != nullptr) {
-      // Capture id/sampled before FinishTrace: the trace recycles into the
-      // pool and a concurrent Submit may reuse it immediately.
-      response.trace_id = pending->trace->trace_id();
-      response.sampled = pending->trace->sampled();
-      if (degraded) {
-        pending->trace->AddFlag(trace::kDegraded);
-      }
-      tracer_->FinishTrace(pending->trace, response.total_ms, degraded ? "degraded" : "served");
-      pending->trace = nullptr;
-    }
-    UpdateStats(tenant, [degraded](ServerStats& g, TenantStats& t) {
-      ++(degraded ? g.degraded : g.served);
-      ++(degraded ? t.degraded : t.served);
-    });
-    (degraded ? metrics.degraded : metrics.served)->Add(1);
-    (degraded ? tenant.m_degraded : tenant.m_served)->Add(1);
-    metrics.queue_wait->Record(response.queue_ms);
-    RecordLatency(tenant, response.total_ms, response.trace_id);
-    pending->promise.set_value(std::move(response));
+    Settle(&tenant, *pending, degraded ? Outcome::kDegraded : Outcome::kServed,
+           std::move(response));
   }
 }
 
 void Server::FailBatch(std::vector<std::unique_ptr<PendingRequest>>& batch, Tenant& tenant,
                        const Status& status) {
-  const ServeMetrics& metrics = GetServeMetrics();
-  const bool is_deadline = status.code() == StatusCode::kDeadlineExceeded;
-  const int64_t n = static_cast<int64_t>(batch.size());
-  UpdateStats(tenant, [is_deadline, n](ServerStats& g, TenantStats& t) {
-    (is_deadline ? g.expired : g.failed) += n;
-    (is_deadline ? t.expired : t.failed) += n;
-  });
-  (is_deadline ? metrics.expired : metrics.failed)->Add(n);
-  (is_deadline ? tenant.m_expired : tenant.m_failed)->Add(n);
-  FlightRecorder::Get().Record("serve", is_deadline ? "batch expired" : "batch failed", n,
-                               static_cast<int64_t>(status.code()));
-  const Clock::time_point now = Clock::now();
+  const Outcome outcome = status.code() == StatusCode::kDeadlineExceeded ? Outcome::kExpired
+                                                                         : Outcome::kFailed;
   for (std::unique_ptr<PendingRequest>& pending : batch) {
-    if (pending->trace != nullptr) {
-      pending->trace->AddFlag(is_deadline ? trace::kExpired : trace::kFailed);
-      tracer_->FinishTrace(pending->trace, MillisBetween(pending->admitted_at, now),
-                           is_deadline ? "expired" : "failed");
-      pending->trace = nullptr;
-    }
-    pending->promise.set_value(status);
+    Settle(&tenant, *pending, outcome, status);
   }
 }
 
-void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
+void Server::Settle(Tenant* tenant, PendingRequest& pending, Outcome outcome,
+                    StatusOr<InferenceResponse> answer) {
   const ServeMetrics& metrics = GetServeMetrics();
+  const OutcomeInfo& info = kOutcomes[static_cast<int>(outcome)];
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    if (tenant == nullptr) {
+      ++stats_.rejected;  // Only a rejection can reach no tenant.
+    } else {
+      for (int i = 0; i < kNumOutcomes; ++i) {
+        tenant->counts[i] += (info.moves >> i) & 1u;
+      }
+    }
+  }
+  for (int i = 0; i < kNumOutcomes; ++i) {
+    if ((info.moves >> i) & 1u) {
+      metrics.outcomes[i]->Add(1);
+      if (tenant != nullptr) {
+        tenant->counters[i]->Add(1);
+      }
+    }
+  }
+
+  InferenceResponse* response = answer.has_value() ? &answer.value() : nullptr;
+  const double total_ms = response != nullptr
+                              ? response->total_ms
+                              : MillisBetween(pending.admitted_at, Clock::now());
+  if (pending.trace != nullptr) {
+    if (response != nullptr) {
+      // Captured before FinishTrace: the trace recycles into the pool and a
+      // concurrent Submit may reuse it immediately.
+      response->trace_id = pending.trace->trace_id();
+      response->sampled = pending.trace->sampled();
+    }
+    // Anomalies are retained by the tracer regardless of head sampling, so
+    // an overload drill can name every turned-away request.
+    pending.trace->AddFlag(info.trace_flag);
+    tracer_->FinishTrace(pending.trace, total_ms, info.name);
+    pending.trace = nullptr;
+  }
+  if (response != nullptr) {
+    // Exemplars on the pooled histograms link tail buckets to the trace
+    // that filled them; the per-tenant histogram stays plain.
+    metrics.queue_wait->Record(response->queue_ms);
+    latency_hist_.RecordWithExemplar(total_ms, response->trace_id);
+    tenant->latency_hist.Record(total_ms);
+    metrics.request_latency->RecordWithExemplar(total_ms, response->trace_id);
+  } else if (info.trace_flag != 0) {
+    FlightRecorder::Get().Record("serve", answer.status().message(),
+                                 static_cast<int64_t>(pending.id),
+                                 static_cast<int64_t>(tenant->index));
+  }
+  pending.promise.set_value(std::move(answer));
+}
+
+void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   // The batch key pins (entry, tenant), so the whole batch shares both.
   Tenant& tenant = *tenants_[batch.front()->tenant_index];
   const std::shared_ptr<const ModelEntry> entry = batch.front()->entry;
@@ -842,22 +771,11 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   live.reserve(batch.size());
   for (std::unique_ptr<PendingRequest>& pending : batch) {
     if (pending->deadline.armed() && pending->deadline.expired()) {
-      UpdateStats(tenant, [](ServerStats& g, TenantStats& t) {
-        ++g.expired;
-        ++t.expired;
-      });
-      metrics.expired->Add(1);
-      tenant.m_expired->Add(1);
-      FlightRecorder::Get().Record("serve", "request expired while queued", pending->id);
       if (pending->trace != nullptr) {
         pending->trace->AddSpan("queue", pending->admitted_at, pending->dequeued_at);
-        pending->trace->AddFlag(trace::kExpired);
-        tracer_->FinishTrace(pending->trace, MillisBetween(pending->admitted_at, Clock::now()),
-                             "expired");
-        pending->trace = nullptr;
       }
-      pending->promise.set_value(ErrorStatus(StatusCode::kDeadlineExceeded)
-                                 << "deadline expired while queued");
+      Settle(&tenant, *pending, Outcome::kExpired,
+             ErrorStatus(StatusCode::kDeadlineExceeded) << "deadline expired while queued");
     } else {
       live.push_back(std::move(pending));
     }
@@ -865,7 +783,7 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   if (live.empty()) {
     return;
   }
-  metrics.batch_occupancy->Record(static_cast<double>(live.size()));
+  GetServeMetrics().batch_occupancy->Record(static_cast<double>(live.size()));
 
   // Queue-wait and batch-formation attribution, per request: the serving
   // thread owns every trace in the batch from here on (the queue handoff is
@@ -983,12 +901,13 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   if (tenant_faults) {
     faults.DisarmAll();
   }
-  UpdateStats(tenant, [retries_paid](ServerStats& g, TenantStats& t) {
-    g.retries += retries_paid;
-    t.retries += retries_paid;
-    t.batches += retries_paid + 1;  // Attempts = retries + the final one.
-  });
-  metrics.retries->Add(retries_paid);
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.retries += retries_paid;
+    tenant.retries += retries_paid;
+    tenant.batches += retries_paid + 1;  // Attempts = retries + the final one.
+  }
+  GetServeMetrics().retries->Add(retries_paid);
 
   if (result.status.ok()) {
     breaker.RecordSuccess();
@@ -1027,18 +946,40 @@ void Server::ServeBatch(std::vector<std::unique_ptr<PendingRequest>> batch) {
   }
 }
 
+void Server::Count(int64_t ServerStats::*field, metrics::Counter* mirror, int64_t n) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.*field += n;
+  }
+  mirror->Add(n);
+}
+
 uint64_t Server::serving_fingerprint() const {
   std::shared_ptr<const ModelEntry> entry = registry_->Lookup(tenants_[0]->config.model_id);
   return entry == nullptr ? 0 : entry->fingerprint();
 }
 
+template <typename Stats>
+void Server::AddCounts(const OutcomeCounts& counts, Stats& stats) {
+  int64_t* const fields[kNumOutcomes] = {&stats.submitted, &stats.rejected, &stats.shed,
+                                         &stats.quota_shed, &stats.served,  &stats.degraded,
+                                         &stats.expired,   &stats.failed};
+  for (int i = 0; i < kNumOutcomes; ++i) {
+    *fields[i] += counts[i];
+  }
+}
+
 ServerStats Server::stats() const {
   ServerStats stats;
   {
-    // One critical section copies every identity counter: a reader either
-    // sees a request fully accounted (submitted + outcome) or not at all.
+    // One critical section sums every tenant's identity counters: a reader
+    // either sees a request fully accounted (submitted + outcome) or not at
+    // all, and the global identity is the sum of the per-tenant ones.
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats = stats_;
+    for (const std::unique_ptr<Tenant>& tenant : tenants_) {
+      AddCounts(tenant->counts, stats);
+    }
   }
   // Breaker counters sit outside the identity; each breaker's own mutex
   // keeps its counters mutually consistent.
@@ -1061,7 +1002,9 @@ StatusOr<TenantStats> Server::tenant_stats(const std::string& tenant) const {
   TenantStats stats;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats = t->stats;
+    AddCounts(t->counts, stats);
+    stats.retries = t->retries;
+    stats.batches = t->batches;
   }
   stats.breaker_trips = t->breaker->trips();
   stats.breaker_recoveries = t->breaker->recoveries();
@@ -1077,8 +1020,6 @@ std::vector<std::string> Server::tenant_names() const {
   }
   return names;
 }
-
-BreakerState Server::breaker_state() const { return tenants_[0]->breaker->state(); }
 
 StatusOr<BreakerState> Server::tenant_breaker_state(const std::string& tenant) const {
   const Tenant* t = FindTenant(tenant);
@@ -1112,15 +1053,6 @@ StatusOr<LatencySummary> Server::tenant_latency_summary(const std::string& tenan
     return ErrorStatus(StatusCode::kNotFound) << "unknown tenant '" << tenant << "'";
   }
   return SummaryFromSnapshot(t->latency_hist.Snapshot());
-}
-
-void Server::RecordLatency(Tenant& tenant, double total_ms, uint64_t trace_id) {
-  // Exemplars on the pooled histograms link tail buckets to the trace that
-  // filled them; the per-tenant histogram stays plain (its tail is a subset
-  // of the pooled ones).
-  latency_hist_.RecordWithExemplar(total_ms, trace_id);
-  tenant.latency_hist.Record(total_ms);
-  GetServeMetrics().request_latency->RecordWithExemplar(total_ms, trace_id);
 }
 
 std::string Server::TracesJson() const {

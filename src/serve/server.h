@@ -26,8 +26,10 @@
 // quota and fair-share weight (enforced in AdmissionQueue), its own circuit
 // breaker and last-known-good cache, and its own accounting — the identity
 //   submitted == served + degraded + shed + expired + failed
-// holds per tenant, not just globally, with every counter pair updated under
-// one lock.
+// holds per tenant, and globally as the sum over tenants. Every way a
+// request ends goes through one private function (Settle), which moves the
+// tenant's counters, mirrors them into the metrics registry, finishes the
+// trace and fulfils the promise.
 //
 // Hot swap (zero downtime): RequestHotSwap stages version N+1 on the calling
 // thread (checkpoint load + weight copy; serving continues unaffected), then
@@ -47,6 +49,7 @@
 #ifndef SRC_SERVE_SERVER_H_
 #define SRC_SERVE_SERVER_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -141,19 +144,20 @@ struct ServeConfig {
   trace::TracerConfig tracing;
 };
 
-// Monotone counters; a quiesced server satisfies
+// Monotone counters; every snapshot satisfies
 //   submitted == served + degraded + shed + expired + failed.
-// Rejected requests never enter the serving pipeline and sit outside that
-// identity; quota_shed is the subset of shed attributed to a tenant's own
-// admission quota (not the shared capacity). stats() returns one snapshot
-// taken under a single lock, so the identity holds for the snapshot itself
-// whenever the server is quiesced — readers never see `submitted` without
-// the matching outcome counter. The same increments are mirrored into the
-// process metrics registry (seastar_serve_*_total), so the identity can be
-// checked from a --metrics-out snapshot too.
+// A request counts as submitted at the moment it ends, together with its
+// outcome, so in-flight requests (queue_depth(), the inflight gauge) are in
+// neither side. Rejected requests never enter the serving pipeline and sit
+// outside that identity; quota_shed is the subset of shed attributed to a
+// tenant's own admission quota (not the shared capacity). The identity
+// fields are the sums of the per-tenant counters (plus rejections that named
+// no known tenant), taken under a single lock. The same increments are
+// mirrored into the process metrics registry (seastar_serve_*_total), so the
+// identity can be checked from a --metrics-out snapshot too.
 struct ServerStats {
-  int64_t submitted = 0;  // Requests admitted or shed (validated, not rejected).
-  int64_t rejected = 0;   // Invalid (bad vertices / fingerprint / tenant) or queue closed.
+  int64_t submitted = 0;  // Requests admitted or shed (validated, not rejected) that ended.
+  int64_t rejected = 0;   // Invalid (bad vertices / fingerprint / tenant), not started, or closed.
   int64_t shed = 0;       // Turned away at the door (capacity or quota).
   int64_t quota_shed = 0;  // Subset of shed: the tenant's own quota.
   int64_t served = 0;     // Fresh forward-pass answers.
@@ -258,8 +262,6 @@ class Server {
   StatusOr<TenantStats> tenant_stats(const std::string& tenant) const;
   std::vector<std::string> tenant_names() const;
 
-  // Default tenant's breaker (single-tenant compatibility).
-  BreakerState breaker_state() const;
   StatusOr<BreakerState> tenant_breaker_state(const std::string& tenant) const;
 
   // Percentiles over end-to-end latency of answered (served or degraded)
@@ -292,25 +294,37 @@ class Server {
     bool unit_abort = false;  // Execution aborted at a deadline check.
   };
 
-  // Per-tenant runtime state. Stats fields are guarded by stats_mutex_, the
-  // LKG tensor by lkg_mutex_; the breaker guards itself.
+  // The ways a request ends, each indexing the counter it moves. kSubmitted
+  // is not an ending but the counter every ending except a rejection also
+  // moves: a request enters the identity's left side as it leaves for one
+  // bin on the right, so the identity holds at every instant.
+  enum class Outcome : int {
+    kSubmitted,
+    kRejected,
+    kShed,
+    kQuotaShed,
+    kServed,
+    kDegraded,
+    kExpired,
+    kFailed,
+  };
+  static constexpr int kNumOutcomes = 8;
+  using OutcomeCounts = std::array<int64_t, kNumOutcomes>;
+
+  // Per-tenant runtime state. Counters are guarded by stats_mutex_, the LKG
+  // tensor by lkg_mutex_; the breaker guards itself.
   struct Tenant {
     uint32_t index = 0;
     TenantConfig config;
     std::unique_ptr<CircuitBreaker> breaker;
     Tensor lkg;               // Last-known-good full-graph logits.
-    TenantStats stats;
+    OutcomeCounts counts{};   // The only store of the identity counters.
+    int64_t retries = 0;
+    int64_t batches = 0;
     metrics::Histogram latency_hist{"tenant_latency_ms"};
-    // Cached registry handles (label baked into the metric name) so the
+    // Registry handles per Outcome (label baked into the metric name) so the
     // per-request path never performs a registry lookup.
-    metrics::Counter* m_submitted = nullptr;
-    metrics::Counter* m_rejected = nullptr;
-    metrics::Counter* m_shed = nullptr;
-    metrics::Counter* m_quota_shed = nullptr;
-    metrics::Counter* m_served = nullptr;
-    metrics::Counter* m_degraded = nullptr;
-    metrics::Counter* m_expired = nullptr;
-    metrics::Counter* m_failed = nullptr;
+    std::array<metrics::Counter*, kNumOutcomes> counters{};
   };
 
   // A staged hot-swap awaiting the serving thread's warm + flip.
@@ -335,26 +349,24 @@ class Server {
   void ProcessPendingSwaps();
   // Emits retire events for drained old generations.
   void PollRetirements();
-  void RecordLatency(Tenant& tenant, double total_ms, uint64_t trace_id);
   Tenant* FindTenant(const std::string& name) const;
 
-  // Applies `mutate` to the global stats under stats_mutex_.
-  template <typename Fn>
-  void UpdateStats(Fn&& mutate) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    mutate(stats_);
-  }
+  // The one place a request ends, and the only writer of the identity
+  // counters: moves the counters `outcome` moves for `tenant` (null only for
+  // a rejection that reached no tenant, which counts globally) and mirrors
+  // them into the registry, flags and finishes the trace, records latency
+  // (answers) or a flight-recorder event (anomalies), and fulfils the
+  // promise with `answer`.
+  void Settle(Tenant* tenant, PendingRequest& pending, Outcome outcome,
+              StatusOr<InferenceResponse> answer);
 
-  // Applies `mutate` to the global and per-tenant stats in one critical
-  // section. All identity counters move through here, so a concurrent
-  // stats()/tenant_stats() reader always sees a consistent snapshot at both
-  // granularities (never a request counted as submitted but not yet as an
-  // outcome, or counted globally but not for its tenant).
-  template <typename Fn>
-  void UpdateStats(Tenant& tenant, Fn&& mutate) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    mutate(stats_, tenant.stats);
-  }
+  // Adds identity counts into a ServerStats or a TenantStats.
+  template <typename Stats>
+  static void AddCounts(const OutcomeCounts& counts, Stats& stats);
+
+  // Adds `n` to a global counter outside the identity (retries, batches,
+  // unit aborts, boot and swap counters) and to its registry mirror.
+  void Count(int64_t ServerStats::*field, metrics::Counter* mirror, int64_t n = 1);
 
   const ServeConfig config_;
   Profiler* profiler_;  // Hoisted: non-null only when enabled.
@@ -383,12 +395,10 @@ class Server {
   // the stats/test readers.
   mutable std::mutex lkg_mutex_;
 
-  // All counters that participate in (or ride along with) the accounting
-  // identity live behind one mutex; increments are a few nanoseconds under
-  // an uncontended lock (client threads at admission, the serving thread at
-  // fulfillment), and stats() copies everything in one critical section.
-  // Breaker counters stay with each tenant's breaker — they are not part of
-  // the identity.
+  // Guards every counter: the tenants' identity counters, and stats_, which
+  // holds the counters outside the identity (retries, batches, boot and swap
+  // counters) plus rejections that reached no tenant. stats() sums under one
+  // critical section. Breaker counters stay with each tenant's breaker.
   mutable std::mutex stats_mutex_;
   ServerStats stats_;
   std::atomic<uint64_t> next_request_id_{1};

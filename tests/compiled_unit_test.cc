@@ -414,11 +414,13 @@ TEST(CompiledUnitTest, PositionsLowerToTheirStepLists) {
     EXPECT_FALSE(unit.aggs[0].fused_mul);
   }
   {
+    // Read by a source-oriented unit, s is stored as neighbour rows.
     GirBuilder b;
     const Value s = Exp(b.Src("h", kW));
     b.MarkOutput(b.AggSum(s, AggTo::kDst), "sum");
-    b.MarkOutput(s, "value");
+    b.MarkOutput(b.AggSum(s, AggTo::kSrc), "src_sum");
     auto program = CompileProgram(b.graph(), FusionOptions{});
+    ASSERT_EQ(program->units.size(), 2u);
     const CompiledUnit& unit = program->units[0];
     ASSERT_EQ(unit.edge_steps.size(), 2u);  // Exp, then the neighbour-row store.
     EXPECT_EQ(unit.edge_steps[1].kernel, &AtomicCopyRows);
@@ -437,6 +439,41 @@ TEST(CompiledUnitTest, PositionsLowerToTheirStepLists) {
     EXPECT_TRUE(unit.aggs[0].fused_mul);
     EXPECT_EQ(unit.aggs[0].b.index, Index::kKeyLocal);  // ...reading t per slot.
     EXPECT_TRUE(unit.uses_slot_locals);
+  }
+}
+
+// A neighbour-side value (S-typed in a unit that walks the in-edges of
+// destinations, or the mirror case) is computed per edge, so it exists only
+// on the rows of vertices with an edge in that orientation. A program output
+// is read on every row: it must be computed where each row is visited.
+TEST(CompiledUnitTest, NeighbourSideProgramOutputsHoldEveryRow) {
+  const Graph graph = AdversarialGraph(/*typed=*/false);
+  const FeatureMap features = Features(graph);
+  // Each case scales h by its own factor: a pooled output buffer that still
+  // holds an earlier case's rows must not pass for this case's rows.
+  {
+    SCOPED_TRACE("aggregation onto destinations");
+    GirBuilder b;
+    const Value r = b.Src("h", kW) * 0.75f;
+    b.MarkOutput(b.AggMax(r, AggTo::kDst), "max");
+    b.MarkOutput(r, "value");
+    ExpectMatchesPyg(b.graph(), graph, features, /*exact=*/true);
+  }
+  {
+    SCOPED_TRACE("aggregation onto sources");
+    GirBuilder b;
+    const Value r = b.Dst("h", kW) * 0.5f;
+    b.MarkOutput(b.AggMax(r, AggTo::kSrc), "max");
+    b.MarkOutput(r, "value");
+    ExpectMatchesPyg(b.graph(), graph, features, /*exact=*/true);
+  }
+  {
+    SCOPED_TRACE("edge op, no aggregation");
+    GirBuilder b;
+    const Value r = b.Src("h", kW) * 0.25f;
+    b.MarkOutput(r * b.Edge("g", kW), "product");
+    b.MarkOutput(r, "value");
+    ExpectMatchesPyg(b.graph(), graph, features, /*exact=*/true);
   }
 }
 

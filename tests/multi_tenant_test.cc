@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -395,6 +396,12 @@ TEST(MultiTenantServeTest, QuotaShedsOnlyTheOffendingTenant) {
   const ServerStats global = server.stats();
   EXPECT_EQ(global.quota_shed, beta->quota_shed);
   EXPECT_EQ(global.shed, global.quota_shed);  // No capacity sheds in this run.
+  bool quota_shed_traced = false;
+  server.tracer()->ForEachRetained([&](const trace::RequestTrace& t) {
+    quota_shed_traced = quota_shed_traced || (std::strcmp(t.outcome(), "quota_shed") == 0 &&
+                                              (t.flags() & trace::kShed) != 0);
+  });
+  EXPECT_TRUE(quota_shed_traced);
 }
 
 TEST(MultiTenantServeTest, RogueTenantFaultsDoNotDegradeItsNeighbors) {
@@ -673,26 +680,77 @@ TEST(MultiTenantServeTest, PerTenantMetricsMirrorTenantStats) {
     return metrics_registry.GetCounter(name)->value();
   };
   // Tests share the process registry: work on deltas against unique names.
-  const std::string served_name =
-      "seastar_serve_tenant_served_total{tenant=\"mt-metrics-alpha\"}";
-  const std::string quota_name =
-      "seastar_serve_tenant_quota_shed_total{tenant=\"mt-metrics-alpha\"}";
-  const int64_t served0 = counter(served_name);
+  const std::vector<std::string> tenants = {"mt-metrics-alpha", "mt-metrics-beta",
+                                            "mt-metrics-gamma"};
+  const std::vector<std::string> outcomes = {"submitted", "rejected", "shed",    "quota_shed",
+                                             "served",    "degraded", "expired", "failed"};
+  const auto tenant_counter = [&counter](const std::string& outcome, const std::string& tenant) {
+    return counter("seastar_serve_tenant_" + outcome + "_total{tenant=\"" + tenant + "\"}");
+  };
+  std::map<std::string, int64_t> before;
+  for (const std::string& tenant : tenants) {
+    for (const std::string& outcome : outcomes) {
+      before[tenant + "/" + outcome] = tenant_counter(outcome, tenant);
+    }
+  }
   const int64_t swaps0 = counter("seastar_serve_swaps_total");
 
   Dataset data = SmallDataset();
   auto registry = std::make_shared<ModelRegistry>();
   ASSERT_TRUE(registry->Register("model-a", data, GcnFactory(data)).has_value());
   ServeConfig config;
-  TenantConfig tenant;
-  tenant.name = "mt-metrics-alpha";
-  tenant.model_id = "model-a";
-  config.tenants = {tenant};
+  config.queue_capacity = 6;
+  config.warmup = false;  // No last-known-good answers before a tenant's first success.
+  config.max_retries = 0;
+  config.breaker_trip_after = 1000;  // Every failure reaches the fallback decision.
+  for (const std::string& name : tenants) {
+    TenantConfig tenant;
+    tenant.name = name;
+    tenant.model_id = "model-a";
+    config.tenants.push_back(tenant);
+  }
+  config.tenants[1].max_queued = 2;
   Server server(registry, config);
   ASSERT_TRUE(server.Start().ok());
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(server.Infer(RequestFor({i}, "mt-metrics-alpha")).has_value());
+
+  // Served (seeding alpha's and gamma's last-known-good answers), and
+  // rejected: once by a tenant, once naming no tenant.
+  ASSERT_TRUE(server.Infer(RequestFor({0}, tenants[0])).has_value());
+  ASSERT_TRUE(server.Infer(RequestFor({1}, tenants[2])).has_value());
+  EXPECT_FALSE(server.Infer(RequestFor({-1}, tenants[0])).has_value());
+  EXPECT_FALSE(server.Infer(RequestFor({0}, "mt-metrics-nobody")).has_value());
+
+  // Every forward fails: gamma answers from its cache, beta has none.
+  FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/0, /*count=*/1'000'000'000);
+  StatusOr<InferenceResponse> cached = server.Infer(RequestFor({2}, tenants[2]));
+  StatusOr<InferenceResponse> failed = server.Infer(RequestFor({2}, tenants[1]));
+  FaultInjector::Get().DisarmAll();
+  TensorAllocator::Get().ClearInjectedFailure();
+  ASSERT_TRUE(cached.has_value()) << cached.status().ToString();
+  EXPECT_TRUE(cached->degraded);
+  EXPECT_FALSE(failed.has_value());
+
+  // Stalled serving: once the serving thread holds gamma's first request in
+  // a stalled forward, gamma's hopeless deadline expires, beta bursts past
+  // its quota and alpha past the shared capacity.
+  FaultInjector::Get().ArmProbabilistic(FaultSite::kSimtWorker, 1.0, /*seed=*/5);
+  std::vector<std::future<StatusOr<InferenceResponse>>> futures;
+  futures.push_back(server.Submit(RequestFor({3}, tenants[2])));
+  while (server.queue_depth() > 0) {
+    std::this_thread::yield();
   }
+  futures.push_back(server.Submit(RequestFor({3}, tenants[2], /*deadline_ms=*/0.05)));
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(server.Submit(RequestFor({0}, tenants[1])));
+  }
+  for (int i = 0; i < 12; ++i) {
+    futures.push_back(server.Submit(RequestFor({0}, tenants[0])));
+  }
+  FaultInjector::Get().DisarmAll();
+  for (auto& future : futures) {
+    EXPECT_NO_THROW(future.get());
+  }
+
   const std::string path = TempPath("seastar_mt_metrics_swap.ckpt");
   {
     auto scratch = SmallGcn(data);
@@ -700,12 +758,35 @@ TEST(MultiTenantServeTest, PerTenantMetricsMirrorTenantStats) {
   }
   ASSERT_TRUE(server.HotSwap("model-a", path).has_value());
   server.Shutdown();
-
-  EXPECT_EQ(counter(served_name) - served0, 4);
-  EXPECT_EQ(counter(quota_name), 0);
   EXPECT_EQ(counter("seastar_serve_swaps_total") - swaps0, 1);
-  StatusOr<TenantStats> stats = server.tenant_stats("mt-metrics-alpha");
-  EXPECT_EQ(stats->served, 4);
+
+  // Each tenant's exported series equals its tenant_stats() field, and the
+  // global identity fields are the sums over tenants (plus the rejection
+  // that named no tenant, which only counts globally).
+  std::vector<int64_t> sums(outcomes.size(), 0);
+  for (const std::string& tenant : tenants) {
+    StatusOr<TenantStats> stats = server.tenant_stats(tenant);
+    ASSERT_TRUE(stats.has_value());
+    AssertTenantIdentity(stats.value(), tenant);
+    const std::vector<int64_t> fields = {stats->submitted, stats->rejected, stats->shed,
+                                         stats->quota_shed, stats->served,  stats->degraded,
+                                         stats->expired,   stats->failed};
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      EXPECT_EQ(tenant_counter(outcomes[i], tenant) - before[tenant + "/" + outcomes[i]],
+                fields[i])
+          << tenant << " " << outcomes[i];
+      sums[i] += fields[i];
+    }
+  }
+  const ServerStats global = server.stats();
+  const std::vector<int64_t> global_fields = {global.submitted, global.rejected, global.shed,
+                                              global.quota_shed, global.served, global.degraded,
+                                              global.expired,   global.failed};
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(global_fields[i], sums[i] + (outcomes[i] == "rejected" ? 1 : 0)) << outcomes[i];
+    EXPECT_GT(sums[i], 0) << "no request ended as " << outcomes[i];
+  }
+  EXPECT_GT(global.shed, global.quota_shed);  // Capacity sheds too.
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".prev");
 }

@@ -66,6 +66,16 @@ InferenceRequest RequestFor(std::vector<int32_t> vertices, double deadline_ms = 
   return request;
 }
 
+// True when `server` retained a trace that ended as `outcome` with `flag`
+// set. Anomalous traces are retained regardless of head sampling.
+bool RetainedTrace(const Server& server, const std::string& outcome, uint32_t flag) {
+  bool found = false;
+  server.tracer()->ForEachRetained([&](const trace::RequestTrace& t) {
+    found = found || (t.outcome() == outcome && (t.flags() & flag) != 0);
+  });
+  return found;
+}
+
 // ---- Deadline primitive -------------------------------------------------------------------------
 
 TEST(DeadlineTest, UnarmedNeverExpires) {
@@ -120,7 +130,6 @@ TEST(AdmissionQueueTest, OverflowShedsWithResourceExhausted) {
   EXPECT_EQ(queue.TryPush(std::make_unique<PendingRequest>()), AdmitResult::kAdmitted);
   EXPECT_EQ(queue.TryPush(std::make_unique<PendingRequest>()), AdmitResult::kAdmitted);
   EXPECT_EQ(queue.TryPush(std::make_unique<PendingRequest>()), AdmitResult::kShedCapacity);
-  EXPECT_EQ(queue.shed_count(), 1);
   EXPECT_EQ(queue.size(), 2);
 }
 
@@ -162,9 +171,6 @@ TEST(AdmissionQueueTest, QuotaShedsChargeOnlyTheBurstingTenant) {
   EXPECT_EQ(queue.TryPush(request_for(1)), AdmitResult::kAdmitted);
   // Tenant 1 is at its own cap; the shared queue still has room.
   EXPECT_EQ(queue.TryPush(request_for(1)), AdmitResult::kShedQuota);
-  EXPECT_EQ(queue.quota_shed_count(1), 1);
-  EXPECT_EQ(queue.quota_shed_count(0), 0);
-  EXPECT_EQ(queue.shed_count(), 0);  // Capacity sheds only.
   // The unconstrained tenant is unaffected.
   EXPECT_EQ(queue.TryPush(request_for(0)), AdmitResult::kAdmitted);
   EXPECT_EQ(queue.size(), 3);
@@ -378,6 +384,7 @@ TEST(ServeTest, ExpiredDeadlineAbortsInsteadOfServing) {
   ASSERT_FALSE(response.has_value());
   EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(server.stats().expired, 1);
+  EXPECT_TRUE(RetainedTrace(server, "expired", trace::kExpired));
   server.Shutdown();
 }
 
@@ -433,6 +440,7 @@ TEST(ServeTest, QueueOverflowShedsWithResourceExhausted) {
   }
   EXPECT_GT(shed, 0);
   EXPECT_EQ(server.stats().shed, shed);
+  EXPECT_TRUE(RetainedTrace(server, "shed", trace::kShed));
   server.Shutdown();
 }
 
@@ -503,7 +511,8 @@ TEST(ServeTest, BreakerTripsServesDegradedThenRecoversViaProbe) {
   // batch fails until disarmed.
   FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/0, /*count=*/1'000'000'000);
   int degraded_seen = 0;
-  for (int i = 0; i < 8 && server.breaker_state() != BreakerState::kOpen; ++i) {
+  const auto breaker = [&server] { return server.tenant_breaker_state("default").value(); };
+  for (int i = 0; i < 8 && breaker() != BreakerState::kOpen; ++i) {
     StatusOr<InferenceResponse> during = server.Infer(RequestFor({1}));
     ASSERT_TRUE(during.has_value()) << during.status().ToString();
     if (during->degraded) {
@@ -517,6 +526,7 @@ TEST(ServeTest, BreakerTripsServesDegradedThenRecoversViaProbe) {
   StatusOr<InferenceResponse> cached = server.Infer(RequestFor({3}));
   ASSERT_TRUE(cached.has_value()) << cached.status().ToString();
   EXPECT_TRUE(cached->degraded);
+  EXPECT_TRUE(RetainedTrace(server, "degraded", trace::kDegraded));
 
   // Outage ends; the next probe (due every 5 ms) must close the breaker.
   FaultInjector::Get().DisarmAll();
@@ -529,7 +539,7 @@ TEST(ServeTest, BreakerTripsServesDegradedThenRecoversViaProbe) {
     recovered = !after->degraded;
   }
   EXPECT_TRUE(recovered);
-  EXPECT_EQ(server.breaker_state(), BreakerState::kClosed);
+  EXPECT_EQ(breaker(), BreakerState::kClosed);
   EXPECT_GE(server.stats().breaker_recoveries, 1);
   server.Shutdown();
 }
@@ -556,6 +566,7 @@ TEST(ServeTest, NoFallbackCacheMeansUnavailableWhileOpen) {
   FaultInjector::Get().DisarmAll();
   TensorAllocator::Get().ClearInjectedFailure();
   EXPECT_GT(server.stats().failed, 0);
+  EXPECT_TRUE(RetainedTrace(server, "failed", trace::kFailed));
   server.Shutdown();
 }
 
@@ -721,13 +732,13 @@ TEST(ServeTest, SoakTenThousandRequestsKeepsAccountingExact) {
   // degraded serving is observed.
   FaultInjector::Get().Arm(FaultSite::kTensorAlloc, /*after_n=*/0, /*count=*/1'000'000'000);
   int sync_used = 0;
-  while (server.breaker_state() != BreakerState::kOpen && sync_used < 60) {
+  while (server.tenant_breaker_state("default").value() != BreakerState::kOpen && sync_used < 60) {
     StatusOr<InferenceResponse> r = server.Infer(RequestFor({1}));
     ASSERT_TRUE(r.has_value()) << r.status().ToString();
     ++submitted;
     ++sync_used;
   }
-  ASSERT_EQ(server.breaker_state(), BreakerState::kOpen);
+  ASSERT_EQ(server.tenant_breaker_state("default").value(), BreakerState::kOpen);
   StatusOr<InferenceResponse> during = server.Infer(RequestFor({2}));
   ++submitted;
   ++sync_used;
